@@ -27,7 +27,8 @@
                                  simulation grids (see Stc_store)
 
    The [fetch] part is the fetch-replay microbench: it times the same
-   simulation cells through Engine.run_packed and Engine.run_naive,
+   simulation cells through Engine.run_packed (a one-slot Engine.Bank)
+   and Engine.run_naive,
    checks the results are identical, prints blocks/sec and the packed
    speedup (plus a --jobs N parallel replay), and writes the numbers to
    BENCH_fetch.json. Both BENCH_*.json artifacts carry a "provenance"
@@ -35,7 +36,8 @@
    so perf numbers stay attributable.
 
    The [stream] part is the segment-pipeline macrobench: it replays the
-   same cell slice through Engine.run_stream (bounded off-heap segments,
+   same cell slice through Engine.run_stream (a one-slot bank over
+   bounded off-heap segments,
    Source -> Stream -> engine), serially and on a --jobs domain pool,
    asserts the results identical to the materialized packed replay, and
    appends a provenance-stamped record to BENCH_fetch.json (one JSON
@@ -43,8 +45,8 @@
 
    The [fused] part is the fused-replay macrobench: it rebuilds the full
    Table 3/4 grid shape, compiles each layout's packed image once, and
-   times the replay per-cell (one Engine.run_packed sweep per cell)
-   against the fused path (one Engine.Bank sweep per layout, serially
+   times the replay per-cell (one Engine.run_packed sweep per cell, i.e.
+   a one-slot Engine.Bank) against the fused path (one Engine.Bank sweep per layout, serially
    and with whole groups on a --jobs pool), asserts all result arrays
    identical and the better fused configuration >= 2x the per-cell
    baseline, and appends a provenance-stamped record to
@@ -310,7 +312,7 @@ module J = Stc_obs.Json
    grid (two layouts x {ideal, direct 16KB, direct 16KB + trace cache})
    with both engine paths, asserts the results are identical, and records
    the throughput in BENCH_fetch.json. With [--naive] only the pre-packed
-   path runs (with metrics), so @perf-smoke can diff the two exports. *)
+   path runs (with metrics), so @equiv-smoke can diff the two exports. *)
 (* The representative Table 3/4 slice the [fetch] and [stream] parts
    replay: two layouts x {ideal, direct 16KB, direct 16KB + TC}. *)
 let bench_slice pl =
@@ -597,9 +599,9 @@ let stream_bench () =
    plans on the default grid), rebuilt through the public layout API so
    the bench can time the replay alone: each distinct layout's packed
    image is compiled once, outside both timed regions — compilation is
-   identical work on both paths (once per layout under the plan cache,
-   once per group fused). Per-cell replays every cell through its own
-   Engine.run_packed sweep; fused replays each layout's cells as one
+   identical work on both paths (once per layout). Per-cell replays
+   every cell through its own Engine.run_packed sweep (a one-slot
+   Engine.Bank); fused replays each layout's cells as one
    Engine.Bank sweep, serially and then with whole groups
    self-scheduled on a --jobs pool (the Experiments.simulate default
    configuration). All result arrays must be identical — fusing is a

@@ -104,23 +104,10 @@ let stream_arg =
         ~doc:
           "Replay each simulation cell through the bounded segment \
            pipeline (Stc_trace.Source → Stc_fetch.Stream → \
-           Engine.run_stream) instead of a fully materialized packed \
+           Engine.Bank.run_stream) instead of a fully materialized packed \
            trace image. Results, tables and metric exports are \
            byte-identical; only the peak resident trace footprint \
            changes.")
-
-let no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fuse" ]
-        ~doc:
-          "Replay each simulation cell with its own engine sweep instead \
-           of the default fused replay (one Engine.Bank sweep per layout, \
-           decoding the packed trace once for every cell that shares \
-           it). Rows, tables, metric exports and store keys are \
-           byte-identical either way; fusing only changes wall-clock \
-           time. This flag keeps the per-cell reference path exercised \
-           for differential comparison.")
 
 let progress_arg =
   Arg.(
@@ -199,21 +186,6 @@ let finish_trace tracer trace_file =
       path dropped
   | _ -> ()
 
-(* Every command carries one registry; spans and counters are collected
-   unconditionally (the cost is nil next to the simulation) and exported
-   only when --metrics was given. *)
-let setup ~ctx quick sf frames =
-  let config = pipeline_config quick sf frames in
-  Printf.printf
-    "Building kernel, loading TPC-D data (sf=%.4g), tracing Training and Test sets...\n%!"
-    config.Pipeline.sf;
-  let t0 = Unix.gettimeofday () in
-  let pl = Pipeline.run ~ctx ~config () in
-  Printf.printf "Setup done in %.1fs: test trace has %d basic blocks.\n\n%!"
-    (Unix.gettimeofday () -. t0)
-    (Stc_trace.Recorder.length pl.Pipeline.test);
-  pl
-
 (* One-line cache summary, only when --store was given. *)
 let report_store reg store =
   match store with
@@ -239,14 +211,48 @@ let finish_metrics reg metrics_file =
       (List.length (String.split_on_char '\n' (Obs.Export.to_jsonl reg)) - 1)
       path
 
+(* The prologue every pipeline command shares, and the one place the
+   command line is validated: a rejected option value exits 2 before any
+   work (one message per value), an adjusted one prints a note on
+   stderr. Every command carries one registry; spans and counters are
+   collected unconditionally (the cost is nil next to the simulation)
+   and exported only when --metrics was given. *)
+let start ?exec_threshold ?branch_threshold quick sf seed frames jobs store
+    metrics trace progress =
+  (match
+     Stc_core.Options.check ?sf ~frames ?exec_threshold ?branch_threshold
+       ~jobs ()
+   with
+  | Ok notes -> List.iter (Printf.eprintf "stc_repro: note: %s\n%!") notes
+  | Error msgs ->
+    List.iter (Printf.eprintf "stc_repro: %s\n") msgs;
+    exit 2);
+  let reg = Obs.Registry.create () in
+  check_metrics_path metrics;
+  check_out_path "trace" trace;
+  let tracer = make_tracer trace in
+  let ctx = make_ctx reg progress seed jobs store tracer in
+  let config = pipeline_config quick sf frames in
+  Printf.printf
+    "Building kernel, loading TPC-D data (sf=%.4g), tracing Training and Test sets...\n%!"
+    config.Pipeline.sf;
+  let t0 = Unix.gettimeofday () in
+  let pl = Pipeline.run ~ctx ~config () in
+  Printf.printf "Setup done in %.1fs: test trace has %d basic blocks.\n\n%!"
+    (Unix.gettimeofday () -. t0)
+    (Stc_trace.Recorder.length pl.Pipeline.test);
+  (reg, tracer, ctx, pl)
+
+let finish reg tracer store metrics trace =
+  report_store reg store;
+  finish_metrics reg metrics;
+  finish_trace tracer trace
+
 let characterize_cmd =
   let run quick sf seed frames jobs store metrics trace progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
+    let reg, tracer, _, pl =
+      start quick sf seed frames jobs store metrics trace progress
+    in
     E.print_table1 (E.table1 pl);
     print_newline ();
     E.print_figure2 pl;
@@ -254,9 +260,7 @@ let characterize_cmd =
     E.print_reuse (E.reuse pl);
     print_newline ();
     E.print_table2 (E.table2 pl);
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+    finish reg tracer store metrics trace
   in
   Cmd.v
     (Cmd.info "characterize" ~doc:"Section 4: Table 1, Figure 2, reuse, Table 2.")
@@ -264,21 +268,18 @@ let characterize_cmd =
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
       $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
 
-let simulate_run quick sf seed frames jobs store exec branch streamed no_fuse
-    layouts metrics trace progress =
+let simulate_run quick sf seed frames jobs store exec branch streamed layouts
+    metrics trace progress =
   let layouts = parse_layouts layouts in
-  let reg = Obs.Registry.create () in
-  check_metrics_path metrics;
-  check_out_path "trace" trace;
-  let tracer = make_tracer trace in
-  let ctx = make_ctx reg progress seed jobs store tracer in
-  let pl = setup ~ctx quick sf frames in
+  let reg, tracer, ctx, pl =
+    start ~exec_threshold:exec ~branch_threshold:branch quick sf seed frames
+      jobs store metrics trace progress
+  in
   Printf.printf "Simulating the full Table 3 / Table 4 grid (%d jobs)...\n%!"
     ctx.Run.jobs;
   let t0 = Unix.gettimeofday () in
   let rows =
-    E.simulate ~ctx ~config:(sim_config exec branch) ~streamed
-      ~fused:(not no_fuse) ?layouts pl
+    E.simulate ~ctx ~config:(sim_config exec branch) ~streamed ?layouts pl
   in
   Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
     (Unix.gettimeofday () -. t0);
@@ -287,43 +288,36 @@ let simulate_run quick sf seed frames jobs store exec branch streamed no_fuse
   E.print_table4 rows;
   print_newline ();
   E.print_sequentiality rows;
-  report_store reg store;
-  finish_metrics reg metrics;
-  finish_trace tracer trace
+  finish reg tracer store metrics trace
 
 let simulate_term =
   Term.(
     const simulate_run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-    $ store_arg $ exec_arg $ branch_arg $ stream_arg $ no_fuse_arg
-    $ layouts_arg $ metrics_arg $ trace_arg $ progress_arg)
+    $ store_arg $ exec_arg $ branch_arg $ stream_arg $ layouts_arg
+    $ metrics_arg $ trace_arg $ progress_arg)
 
 let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Section 7: Table 3 and Table 4.") simulate_term
 
 let extended_cmd =
-  let run quick sf seed frames jobs store exec branch streamed no_fuse layouts
-      metrics trace progress =
+  let run quick sf seed frames jobs store exec branch streamed layouts metrics
+      trace progress =
     let layouts = parse_layouts layouts in
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
+    let reg, tracer, ctx, pl =
+      start ~exec_threshold:exec ~branch_threshold:branch quick sf seed frames
+        jobs store metrics trace progress
+    in
     Printf.printf
       "Simulating the extended policy/prefetch grid (%d jobs)...\n%!"
       ctx.Run.jobs;
     let t0 = Unix.gettimeofday () in
     let rows =
-      E.extended ~ctx ~config:(sim_config exec branch) ~streamed
-        ~fused:(not no_fuse) ?layouts pl
+      E.extended ~ctx ~config:(sim_config exec branch) ~streamed ?layouts pl
     in
     Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
       (Unix.gettimeofday () -. t0);
     E.print_extended rows;
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+    finish reg tracer store metrics trace
   in
   Cmd.v
     (Cmd.info "extended"
@@ -334,38 +328,28 @@ let extended_cmd =
           per-line temperatures come from each layout's own hotness.")
     Term.(
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ exec_arg $ branch_arg $ stream_arg $ no_fuse_arg
-      $ layouts_arg $ metrics_arg $ trace_arg $ progress_arg)
+      $ store_arg $ exec_arg $ branch_arg $ stream_arg $ layouts_arg
+      $ metrics_arg $ trace_arg $ progress_arg)
 
 let ablation_cmd =
-  let run quick sf seed frames jobs store streamed no_fuse metrics trace
-      progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
-    E.print_ablation (E.ablation ~ctx ~streamed ~fused:(not no_fuse) pl);
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+  let run quick sf seed frames jobs store streamed metrics trace progress =
+    let reg, tracer, ctx, pl =
+      start quick sf seed frames jobs store metrics trace progress
+    in
+    E.print_ablation (E.ablation ~ctx ~streamed pl);
+    finish reg tracer store metrics trace
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"STC threshold and CFA-size sweep.")
     Term.(
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ stream_arg $ no_fuse_arg $ metrics_arg $ trace_arg
-      $ progress_arg)
+      $ store_arg $ stream_arg $ metrics_arg $ trace_arg $ progress_arg)
 
 let extensions_cmd =
   let run quick sf seed frames jobs store metrics trace progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
+    let reg, tracer, ctx, pl =
+      start quick sf seed frames jobs store metrics trace progress
+    in
     Stc_core.Extensions.print_inlining (Stc_core.Extensions.inlining ~ctx pl);
     print_newline ();
     Stc_core.Extensions.print_oltp (Stc_core.Extensions.oltp ~ctx pl);
@@ -382,9 +366,7 @@ let extensions_cmd =
     print_newline ();
     Stc_core.Extensions.print_associativity
       (Stc_core.Extensions.associativity ~ctx pl);
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+    finish reg tracer store metrics trace
   in
   Cmd.v
     (Cmd.info "extensions"
@@ -396,20 +378,15 @@ let extensions_cmd =
 
 let check_cmd =
   let run quick sf seed frames jobs store metrics trace progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
+    let reg, tracer, ctx, pl =
+      start quick sf seed frames jobs store metrics trace progress
+    in
     Printf.printf "Running layout validators and differential oracles...\n%!";
     let t0 = Unix.gettimeofday () in
     let report = Stc_check.run_all ~ctx pl in
     Printf.printf "Checks done in %.1fs.\n\n%!" (Unix.gettimeofday () -. t0);
     Stc_check.print_report report;
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace;
+    finish reg tracer store metrics trace;
     if not (Stc_check.ok report) then exit 1
   in
   Cmd.v
@@ -452,12 +429,10 @@ let layouts_cmd =
 
 let all_cmd =
   let run quick sf seed frames jobs store exec branch metrics trace progress =
-    let reg = Obs.Registry.create () in
-    check_metrics_path metrics;
-    check_out_path "trace" trace;
-    let tracer = make_tracer trace in
-    let ctx = make_ctx reg progress seed jobs store tracer in
-    let pl = setup ~ctx quick sf frames in
+    let reg, tracer, ctx, pl =
+      start ~exec_threshold:exec ~branch_threshold:branch quick sf seed frames
+        jobs store metrics trace progress
+    in
     E.print_table1 (E.table1 pl);
     print_newline ();
     E.print_figure2 pl;
@@ -472,9 +447,7 @@ let all_cmd =
     E.print_table4 rows;
     print_newline ();
     E.print_sequentiality rows;
-    report_store reg store;
-    finish_metrics reg metrics;
-    finish_trace tracer trace
+    finish reg tracer store metrics trace
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Every table and figure.")

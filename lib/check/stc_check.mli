@@ -16,14 +16,14 @@
       counters on one side, association lists and recursion on the
       other, so a bug must be implemented twice to go unnoticed;
     - the differential runners — replay the same traces through oracle,
-      {!Stc_fetch.Engine.run_naive}, {!Stc_fetch.Engine.run_packed} and
-      one fused {!Stc_fetch.Engine.Bank} sweep over every case at once,
-      and compare field by field, with a lockstep shadow i-cache that
+      {!Stc_fetch.Engine.run_naive}, {!Stc_fetch.Engine.run_packed} (a
+      one-slot {!Stc_fetch.Engine.Bank}) and one fused bank sweep over
+      every case at once, and compare field by field, with a lockstep shadow i-cache that
       reports the {e first diverging access} rather than just drifted
       totals.
 
     {!run_all} bundles all of it over a {!Stc_core.Pipeline.t}; the
-    [stc_repro check] subcommand and the [@check-smoke] alias are thin
+    [stc_repro check] subcommand and the [@equiv-smoke] alias are thin
     wrappers around it. With [ctx.metrics] the checks tick [check.*]
     counters and emit one [check.layout] / [check.engine] event per
     subject. *)
@@ -191,8 +191,8 @@ val diff_cases :
   cache_case list ->
   engine_report list
 (** Replay the view through {!Oracle.fetch},
-    {!Stc_fetch.Engine.run_naive} and {!Stc_fetch.Engine.run_packed}
-    per case (fresh caches each; a case's [fdip] block overrides the
+    {!Stc_fetch.Engine.run_naive} and {!Stc_fetch.Engine.run_packed} (a
+    one-slot bank) per case (fresh caches each; a case's [fdip] block overrides the
     config's; [P_trrip] cases seed both real and oracle caches from
     [?temperature], default empty = all cold), plus {e one}
     {!Stc_fetch.Engine.Bank.run_packed} sweep fusing every case's spec

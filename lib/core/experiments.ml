@@ -246,8 +246,8 @@ type cell = {
   c_cache_kb : int;
   c_cfa_kb : int option;
   c_streamed : bool;
-      (* replay through Engine.run_stream over bounded segments instead
-         of a whole compiled image; results are identical by
+      (* replay through Engine.Bank.run_stream over bounded segments
+         instead of a whole compiled image; results are identical by
          construction, so streamed cells share store keys with
          materialized ones *)
   c_assoc : int;
@@ -256,70 +256,6 @@ type cell = {
   c_policy : Stc_cachesim.Icache.policy;
   c_fdip : F.Fdip.config option;
 }
-
-(* Compiled packed trace views, shared per layout.  Many cells replay the
-   same layout (every cache size runs Direct/2-way/Victim/Trace-cache on
-   [orig], for instance); compiling the multi-million-block trace once per
-   {e layout} instead of once per {e cell} removes the dominant per-cell
-   setup cost.  The cache is keyed by layout identity, refcounted with the
-   number of cells planned against each layout so a compiled view is
-   dropped right after its last cell (peak memory stays a handful of
-   layouts, not the whole grid), and mutex-protected so pool domains can
-   share it; the compiled arrays themselves are immutable and read-only
-   across domains.
-
-   Only the unfused ([~fused:false], i.e. --no-fuse) reference path needs
-   this refcounted plan: the fused path re-plans cells into per-layout
-   groups, so each group compiles its layout exactly once by
-   construction and drops it when the group's sweep returns. *)
-module Pcache = struct
-  type entry = { mutable packed : F.Packed.t option; mutable remaining : int }
-
-  type t = {
-    pl : Pipeline.t;
-    m : Mutex.t;
-    mutable entries : (L.Layout.t * entry) list; (* assq: layout identity *)
-  }
-
-  let of_cells pl cells =
-    let t = { pl; m = Mutex.create (); entries = [] } in
-    Array.iter
-      (fun c ->
-        match List.assq_opt c.c_layout t.entries with
-        | Some e -> e.remaining <- e.remaining + 1
-        | None ->
-          t.entries <-
-            (c.c_layout, { packed = None; remaining = 1 }) :: t.entries)
-      cells;
-    t
-
-  let acquire t layout =
-    Mutex.lock t.m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.m) @@ fun () ->
-    match List.assq_opt layout t.entries with
-    | None ->
-      (* not planned through [of_cells]; compile without caching *)
-      F.Packed.compile t.pl.Pipeline.program layout (Pipeline.test_source t.pl)
-    | Some e -> (
-      match e.packed with
-      | Some p -> p
-      | None ->
-        let p =
-          F.Packed.compile t.pl.Pipeline.program layout
-            (Pipeline.test_source t.pl)
-        in
-        e.packed <- Some p;
-        p)
-
-  let release t layout =
-    Mutex.lock t.m;
-    (match List.assq_opt layout t.entries with
-    | Some e ->
-      e.remaining <- e.remaining - 1;
-      if e.remaining <= 0 then e.packed <- None
-    | None -> ());
-    Mutex.unlock t.m
-end
 
 (* The cell's engine config: the grid-wide parameters plus the cell's
    own FDIP block (a [None] block fingerprints exactly like the pre-FDIP
@@ -359,18 +295,9 @@ let cell_key ~prog_fp ~trace_fp cell =
      ]
     @ extended_parts)
 
-(* One timeline slice per grid cell, named so trace_report's "slowest
-   cells" table reads without cross-referencing: table, layout, cache and
-   CFA sizes, variant. *)
-let cell_label cell =
-  Printf.sprintf "cell:%s %s %dk/%s %s" cell.c_table
-    cell.c_layout.L.Layout.name cell.c_cache_kb
-    (match cell.c_cfa_kb with Some k -> string_of_int k ^ "k" | None -> "-")
-    (variant_name cell.c_variant)
-
 (* The cache geometry a cell's variant implies.  Fresh instances per
-   call — the engine owns their state for the replay — so a cell (or a
-   fused bank slot) can run on any domain. *)
+   call — the engine owns their state for the replay — so a fused bank
+   slot can run on any domain. *)
 let cell_caches cell =
   let c = cell.c_config in
   let cache_kb = cell.c_cache_kb in
@@ -400,7 +327,7 @@ let cell_caches cell =
   (icache, trace_cache)
 
 (* Derive a cell's row from its engine result and emit the per-cell
-   metrics event — the common tail of the unfused and fused paths. *)
+   metrics event. *)
 let finish_cell ~metrics cell r =
   let row =
     {
@@ -437,76 +364,18 @@ let finish_cell ~metrics cell r =
   | None -> ());
   row
 
-let exec_cell_inner ~metrics ~trace ~pcache ~store cell =
-  let config = cell_engine_config cell in
-  let simulate () =
-    let icache, trace_cache = cell_caches cell in
-    let ctx =
-      let c0 = Run.default in
-      let c0 =
-        match metrics with Some reg -> Run.with_metrics reg c0 | None -> c0
-      in
-      match trace with Some tr -> Run.with_trace tr c0 | None -> c0
-    in
-    if cell.c_streamed then begin
-      (* per-cell tables are O(static blocks) — noise next to the replay;
-         the trace itself flows through bounded segments, never a whole
-         image *)
-      let pl = pcache.Pcache.pl in
-      let tables = F.Packed.tables pl.Pipeline.program cell.c_layout in
-      let stream = F.Stream.create tables (Pipeline.test_source pl) in
-      F.Engine.run_stream ~ctx ~config ?icache ?trace_cache stream
-    end
-    else
-      let packed = Pcache.acquire pcache cell.c_layout in
-      F.Engine.run_packed ~ctx ~config ?icache ?trace_cache packed
-  in
-  let r =
-    match store with
-    | None -> simulate ()
-    | Some (dir, prog_fp, trace_fp) -> (
-      (* The handle is opened against this cell's registry (a per-cell
-         shard under a pool), so store counters merge deterministically
-         like every other metric. *)
-      let st = Stc_store.open_ ?metrics ?trace dir in
-      let key = cell_key ~prog_fp ~trace_fp cell in
-      match Stc_store.Result.load st ~key with
-      | Some r ->
-        (match metrics with
-        | Some reg -> F.Engine.publish reg r
-        | None -> ());
-        r
-      | None ->
-        let r = simulate () in
-        Stc_store.Result.save st ~key r;
-        r)
-  in
-  (* Unconditional (even on a store hit, where [acquire] never ran):
-     refcounts were planned per cell, so every cell must tick one off for
-     a partially-warm grid to still drop compiled images promptly. *)
-  Pcache.release pcache cell.c_layout;
-  finish_cell ~metrics cell r
-
-let exec_cell ~metrics ~trace ~pcache ~store cell =
-  match trace with
-  | None -> exec_cell_inner ~metrics ~trace ~pcache ~store cell
-  | Some tr ->
-    Stc_obs.Trace.span tr (cell_label cell) (fun () ->
-        exec_cell_inner ~metrics ~trace ~pcache ~store cell)
-
 (* ---------- fused execution ----------
 
-   The default path: the planned cells are re-grouped by layout (physical
-   identity, first-appearance order) and each group's cold cells replay
-   as one {!F.Engine.Bank} sweep — the layout's packed trace is compiled
-   (or, streamed, pulled through a single sliding window) once per group
-   instead of once per cell.  Everything a cell observes is unchanged:
-   its store key, its warm-hit short-circuit (a store-warm cell is
-   dropped from the bank before the sweep), its one {!Progress} tick, and
-   its registry writes — each cell flushes into its own shard, and shards
+   The planned cells are re-grouped by layout (physical identity,
+   first-appearance order) and each group's cold cells replay as one
+   {!F.Engine.Bank} sweep — the layout's packed trace is compiled (or,
+   streamed, pulled through a single sliding window) once per group
+   instead of once per cell.  Everything a cell observes is its own: its
+   store key, its warm-hit short-circuit (a store-warm cell is dropped
+   from the bank before the sweep), its one {!Progress} tick, and its
+   registry writes — each cell flushes into its own shard, and shards
    merge into the main registry in cell {e input} order, so rows, metric
-   exports and golden snapshots are byte-identical to [--no-fuse] at any
-   [--jobs]. *)
+   exports and golden snapshots are byte-identical at any [--jobs]. *)
 
 type fgroup = { g_layout : L.Layout.t; g_cells : int array (* input indices *) }
 
@@ -531,9 +400,9 @@ let fgroup_label cells g =
 
 (* Execute one fused group.  Per member cell: its own registry shard
    (under metrics), its own store handle opened against that shard, and
-   the exact unfused event order — store probe, engine publish, store
-   save, cell row event — so the merged shards reproduce the unfused
-   registry exactly.  Returns [(input index, row, shard)] per cell. *)
+   one fixed event order — store probe, engine publish, store save, cell
+   row event — so the merged shards are the same at any job count.
+   Returns [(input index, row, shard)] per cell. *)
 let exec_fgroup_inner ~metrics ~trace ~store (pl : Pipeline.t) cells ~tick g =
   let idxs = g.g_cells in
   let m = Array.length idxs in
@@ -584,7 +453,7 @@ let exec_fgroup_inner ~metrics ~trace ~store (pl : Pipeline.t) cells ~tick g =
         cold
     in
     (* Trace-only context: each slot's counters go to its shard below,
-       in the same per-cell order the unfused path writes them. *)
+       cell by cell. *)
     let bctx =
       match trace with
       | Some tr -> Run.with_trace tr Run.default
@@ -629,15 +498,12 @@ let exec_fgroup ~metrics ~trace ~store pl cells ~tick g =
     Stc_obs.Trace.span tr (fgroup_label cells g) (fun () ->
         exec_fgroup_inner ~metrics ~trace ~store pl cells ~tick g)
 
-(* Run planned cells.  [~fused:true] (the default) re-plans them into
-   per-layout fused groups — one {!F.Engine.Bank} sweep per group — and
-   runs groups serially or self-scheduled on a domain pool; every cell
-   still records into its own registry shard and shards merge in input
-   order, so outputs are byte-identical to the unfused path at any job
-   count.  [~fused:false] is the reference path: one engine replay per
-   cell ([jobs <= 1]: the exact pre-pool code path, writing straight into
-   the caller's registry; otherwise per-cell shards on the pool). *)
-let exec_cells ~(ctx : Run.ctx) ~label ~fused (pl : Pipeline.t) cells =
+(* Run planned cells: re-plan them into per-layout fused groups — one
+   {!F.Engine.Bank} sweep per group — and run groups serially ([jobs <=
+   1]) or self-scheduled on a domain pool; every cell records into its
+   own registry shard and shards merge in input order, so outputs are
+   byte-identical at any job count. *)
+let run_cells ~(ctx : Run.ctx) ~label (pl : Pipeline.t) cells =
   let cells = Array.of_list cells in
   let n = Array.length cells in
   (* Fingerprint the shared inputs once per grid, not once per cell: the
@@ -655,123 +521,59 @@ let exec_cells ~(ctx : Run.ctx) ~label ~fused (pl : Pipeline.t) cells =
     match reporter with Some p -> Stc_obs.Progress.step p | None -> ()
   in
   let trace = ctx.Run.trace in
-  let rows =
-    if fused then begin
-      let metrics = ctx.Run.metrics in
-      let groups = fused_groups cells in
-      let out =
-        if ctx.Run.jobs <= 1 then
-          Array.map
-            (exec_fgroup ~metrics ~trace ~store pl cells ~tick:step)
-            groups
-        else begin
-          (* Same live-progress scheme as the unfused pool path, ticking
-             once per cell as its group finalizes it. *)
-          let completed = Atomic.make 0 in
-          let drained = ref 0 in
-          let caller = Domain.self () in
-          let drain () =
-            let d = Atomic.get completed in
-            while !drained < d do
-              incr drained;
-              step ()
-            done
-          in
-          let tick () =
-            Atomic.incr completed;
-            if Domain.self () = caller then drain ()
-          in
-          let out =
-            Stc_par.Pool.with_pool ~domains:ctx.Run.jobs ?trace @@ fun pool ->
-            Stc_par.Pool.map ~chunk:1 pool
-              (exec_fgroup ~metrics ~trace ~store pl cells ~tick)
-              groups
-          in
-          drain ();
-          out
-        end
-      in
-      (* Scatter rows back to input positions; merge shards in input
-         order so exports match the unfused path byte for byte. *)
-      let rows = Array.make n None in
-      let shard_at = Array.make n None in
-      Array.iter
-        (Array.iter (fun (ix, row, shard) ->
-             rows.(ix) <- Some row;
-             shard_at.(ix) <- shard))
-        out;
-      (match metrics with
-      | Some main ->
-        Array.iter
-          (function
-            | Some s -> Stc_obs.Registry.merge ~into:main s
-            | None -> ())
-          shard_at
-      | None -> ());
-      Array.map (function Some r -> r | None -> assert false) rows
-    end
+  let metrics = ctx.Run.metrics in
+  let groups = fused_groups cells in
+  let out =
+    if ctx.Run.jobs <= 1 then
+      Array.map (exec_fgroup ~metrics ~trace ~store pl cells ~tick:step) groups
     else begin
-      let pcache = Pcache.of_cells pl cells in
-      if ctx.Run.jobs <= 1 then
-        Array.map
-          (fun c ->
-            let r =
-              exec_cell ~metrics:ctx.Run.metrics ~trace ~pcache ~store c
-            in
-            step ();
-            r)
-          cells
-      else begin
-        (* Workers tick [completed] as cells finish; only the calling
-           domain — which participates in the pool — drains the tick count
-           into the reporter, so the (single-domain) Progress state is
-           never shared and the bar advances during the run instead of
-           jumping 0 -> 100% after the join.  The post-join drain accounts
-           for cells finished by other workers after the caller's last
-           one. *)
-        let completed = Atomic.make 0 in
-        let drained = ref 0 in
-        let caller = Domain.self () in
-        let drain () =
-          let d = Atomic.get completed in
-          while !drained < d do
-            incr drained;
-            step ()
-          done
-        in
-        let out =
-          Stc_par.Pool.with_pool ~domains:ctx.Run.jobs ?trace @@ fun pool ->
-          Stc_par.Pool.map ~chunk:1 pool
-            (fun c ->
-              let shard =
-                Option.map
-                  (fun _ -> Stc_obs.Registry.create ())
-                  ctx.Run.metrics
-              in
-              let r =
-                (exec_cell ~metrics:shard ~trace ~pcache ~store c, shard)
-              in
-              Atomic.incr completed;
-              if Domain.self () = caller then drain ();
-              r)
-            cells
-        in
-        (match ctx.Run.metrics with
-        | Some main ->
-          Array.iter
-            (fun (_, shard) ->
-              match shard with
-              | Some s -> Stc_obs.Registry.merge ~into:main s
-              | None -> ())
-            out
-        | None -> ());
-        drain ();
-        Array.map fst out
-      end
+      (* Workers tick [completed] once per cell as its group finalizes
+         it; only the calling domain — which participates in the pool —
+         drains the tick count into the reporter, so the (single-domain)
+         Progress state is never shared and the bar advances during the
+         run instead of jumping 0 -> 100% after the join.  The post-join
+         drain accounts for cells finished by other workers after the
+         caller's last one. *)
+      let completed = Atomic.make 0 in
+      let drained = ref 0 in
+      let caller = Domain.self () in
+      let drain () =
+        let d = Atomic.get completed in
+        while !drained < d do
+          incr drained;
+          step ()
+        done
+      in
+      let tick () =
+        Atomic.incr completed;
+        if Domain.self () = caller then drain ()
+      in
+      let out =
+        Stc_par.Pool.with_pool ~domains:ctx.Run.jobs ?trace @@ fun pool ->
+        Stc_par.Pool.map ~chunk:1 pool
+          (exec_fgroup ~metrics ~trace ~store pl cells ~tick)
+          groups
+      in
+      drain ();
+      out
     end
   in
+  (* Scatter rows back to input positions; merge shards in input order. *)
+  let rows = Array.make n None in
+  let shard_at = Array.make n None in
+  Array.iter
+    (Array.iter (fun (ix, row, shard) ->
+         rows.(ix) <- Some row;
+         shard_at.(ix) <- shard))
+    out;
+  (match metrics with
+  | Some main ->
+    Array.iter
+      (function Some s -> Stc_obs.Registry.merge ~into:main s | None -> ())
+      shard_at
+  | None -> ());
   (match reporter with Some p -> Stc_obs.Progress.finish p | None -> ());
-  Array.to_list rows
+  Array.to_list (Array.map (function Some r -> r | None -> assert false) rows)
 
 let stc_params (c : sim_config) ~cache_bytes ~cfa_bytes =
   L.Algo.params ~exec_threshold:c.exec_threshold
@@ -906,9 +708,9 @@ let plan_simulate ~ctx ~streamed ?layouts config (pl : Pipeline.t) =
   List.rev !cells
 
 let simulate ?(ctx = Run.default) ?(config = default_sim_config)
-    ?(streamed = false) ?(fused = true) ?layouts pl =
+    ?(streamed = false) ?layouts pl =
   Run.span ctx "simulate-grid" @@ fun () ->
-  exec_cells ~ctx ~label:"simulate" ~fused pl
+  run_cells ~ctx ~label:"simulate" pl
     (plan_simulate ~ctx ~streamed ?layouts config pl)
 
 (* ---------- extended grid: prefetch × replacement ----------
@@ -986,9 +788,9 @@ let plan_extended ~ctx ~streamed ?layouts config (pl : Pipeline.t) =
   List.rev !cells
 
 let extended ?(ctx = Run.default) ?(config = default_sim_config)
-    ?(streamed = false) ?(fused = true) ?layouts pl =
+    ?(streamed = false) ?layouts pl =
   Run.span ctx "extended-grid" @@ fun () ->
-  exec_cells ~ctx ~label:"extended" ~fused pl
+  run_cells ~ctx ~label:"extended" pl
     (plan_extended ~ctx ~streamed ?layouts config pl)
 
 let print_extended rows =
@@ -1267,8 +1069,10 @@ type ablation_row = {
   a_bandwidth : float;
 }
 
-let ablation_gen ~ctx ?(streamed = false) ?(fused = true) ~cache_kb
-    ~exec_thresholds ~branch_thresholds ~cfa_kbs (pl : Pipeline.t) =
+let ablation ?(ctx = Run.default) ?(streamed = false) ?(cache_kb = 32)
+    ?(exec_thresholds = [ 1; 10; 50; 200; 1000 ])
+    ?(branch_thresholds = [ 0.1; 0.3; 0.5 ]) ?(cfa_kbs = [ 4; 8; 16 ])
+    (pl : Pipeline.t) =
   let profile = pl.Pipeline.profile in
   let cached_layout = layout_cache ~ctx pl in
   let ops_algo = algo_exn "ops" in
@@ -1312,7 +1116,7 @@ let ablation_gen ~ctx ?(streamed = false) ?(fused = true) ~cache_kb
             cfa_kbs)
         branch_thresholds)
     exec_thresholds;
-  let rows = exec_cells ~ctx ~label:"ablation" ~fused pl (List.rev !cells) in
+  let rows = run_cells ~ctx ~label:"ablation" pl (List.rev !cells) in
   List.map2
     (fun (a_exec, a_branch, a_cfa_kb) (r : row) ->
       {
@@ -1323,13 +1127,6 @@ let ablation_gen ~ctx ?(streamed = false) ?(fused = true) ~cache_kb
         a_bandwidth = r.bandwidth;
       })
     (List.rev !metas) rows
-
-let ablation ?(ctx = Run.default) ?(streamed = false) ?(fused = true)
-    ?(cache_kb = 32) ?(exec_thresholds = [ 1; 10; 50; 200; 1000 ])
-    ?(branch_thresholds = [ 0.1; 0.3; 0.5 ]) ?(cfa_kbs = [ 4; 8; 16 ])
-    (pl : Pipeline.t) =
-  ablation_gen ~ctx ~streamed ~fused ~cache_kb ~exec_thresholds
-    ~branch_thresholds ~cfa_kbs pl
 
 let ablation_row_to_string r =
   Printf.sprintf "exec=%d branch=%.2f cfa=%d miss=%.6f bw=%.6f" r.a_exec

@@ -102,7 +102,6 @@ val simulate :
   ?ctx:Run.ctx ->
   ?config:sim_config ->
   ?streamed:bool ->
-  ?fused:bool ->
   ?layouts:string list ->
   Pipeline.t ->
   row list
@@ -119,19 +118,18 @@ val simulate :
     present. The trace-cache rows of Table 4 appear only when "ops" is
     selected (they are defined over the ops layout).
 
-    By default ([~fused:true]) cells sharing a layout replay as one
-    {!Stc_fetch.Engine.Bank} sweep over that layout's trace — the packed
-    image is decoded once per {e layout} instead of once per cell — and
-    a domain pool self-schedules whole fused groups.  Rows, metric
-    exports, store keys, cached-hit short-circuiting (a store-warm cell
-    drops out of its group's sweep) and per-cell progress ticks are
-    byte-identical to [~fused:false], the per-cell reference path kept
-    for differential checking (--no-fuse on the CLI).
+    Cells sharing a layout replay as one {!Stc_fetch.Engine.Bank} sweep
+    over that layout's trace — the packed image is decoded once per
+    {e layout} instead of once per cell — and a domain pool
+    self-schedules whole fused groups.  Each cell keeps its own store
+    key, cached-hit short-circuit (a store-warm cell drops out of its
+    group's sweep), progress tick and registry shard, so rows and metric
+    exports are byte-identical at any job count.
 
-    With [~streamed:true] each cell replays the Test trace through a
+    With [~streamed:true] each group replays the Test trace through a
     bounded segment pipeline ({!Stc_trace.Source} →
-    {!Stc_fetch.Stream} → {!Stc_fetch.Engine.run_stream}) instead of a
-    fully materialized {!Stc_fetch.Packed} image; results and exported
+    {!Stc_fetch.Stream} → {!Stc_fetch.Engine.Bank.run_stream}) instead
+    of a fully materialized {!Stc_fetch.Packed} image; results and exported
     counters are identical by construction, so streamed cells share
     artifact-store keys with materialized ones. With [ctx.metrics], the whole grid
     runs inside a [simulate-grid] span (layout construction in child
@@ -154,7 +152,6 @@ val extended :
   ?ctx:Run.ctx ->
   ?config:sim_config ->
   ?streamed:bool ->
-  ?fused:bool ->
   ?layouts:string list ->
   Pipeline.t ->
   row list
@@ -193,7 +190,6 @@ type ablation_row = {
 val ablation :
   ?ctx:Run.ctx ->
   ?streamed:bool ->
-  ?fused:bool ->
   ?cache_kb:int ->
   ?exec_thresholds:int list ->
   ?branch_thresholds:float list ->
@@ -203,10 +199,9 @@ val ablation :
 (** Sweep the STC parameters (ops seeds) at one cache size. Layout
     construction is a serial prefix; sweep points run on [ctx.jobs]
     domains with the same determinism guarantee as {!simulate}.
-    [~streamed:true] replays each point through the segment pipeline and
-    [~fused:false] opts out of fused replay, exactly as in {!simulate}.
-    (Every ablation point builds its own ops layout, so fused groups are
-    singletons here — fusing changes scheduling, never results.) With
+    [~streamed:true] replays each point through the segment pipeline,
+    exactly as in {!simulate}. (Every ablation point builds its own ops
+    layout, so fused groups are one-slot banks here.) With
     [ctx.metrics], each sweep point emits one [ablation.cell] event.
     [ctx.store] caches the swept layouts and per-point engine results
     exactly as in {!simulate}. *)

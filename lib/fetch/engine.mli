@@ -115,7 +115,8 @@ val run :
 
     [run] compiles the view into its {!Packed} form and dispatches to
     {!run_packed}; to replay the same (layout × trace) several times,
-    compile once with {!View.pack} and call {!run_packed} directly. *)
+    compile once with {!View.pack} and call {!run_packed} directly. Like
+    {!run_packed} and {!run_stream}, it is a one-slot {!Bank} call. *)
 
 val run_packed :
   ?ctx:Stc_obs.Run.ctx ->
@@ -125,13 +126,13 @@ val run_packed :
   ?prediction:prediction ->
   Packed.t ->
   result
-(** The allocation-free fast path: same simulation, same results, driven
-    by one unsafe packed-word read per block, with cache/trace-cache
-    statistics batched in locals and flushed to the shared counters once
-    at the end (so counter values, {!Stc_cachesim.Icache.stats}
-    snapshots and metric exports are identical to the naive path's).
-    Internally this is {!run_stream} over a single borrowed segment —
-    the image is never copied. *)
+(** The fast path: same simulation, same results, driven by one unsafe
+    packed-word read per block, with cache/trace-cache statistics batched
+    in locals and flushed to the shared counters once at the end (so
+    counter values, {!Stc_cachesim.Icache.stats} snapshots and metric
+    exports are identical to the naive path's). This is
+    [(Bank.run_packed [| Bank.spec ... () |] packed).(0)]: a one-slot
+    {!Bank} sweep over the borrowed image, which is never copied. *)
 
 val run_stream :
   ?ctx:Stc_obs.Run.ctx ->
@@ -150,19 +151,17 @@ val run_stream :
     concatenated image at {e any} segment size (property-tested), while
     peak residency stays O(largest segment + lookahead) — measured into
     [resident_hwm] (high-water mark of the buffer, in words) when given.
-    Statistics are flushed to the shared cache counters at every segment
-    boundary, and with tracing on each consumed segment emits one
-    [engine.segment] slice whose argument is the blocks consumed. *)
+    This is a one-slot {!Bank.run_stream}. *)
 
-(** Fused replay: a bank of independent per-config engine states (each
-    the exact state a solo {!run_packed} would carry — i-cache with
-    optional victim buffer, trace cache, SEQ.3 cycle-grouping cursor)
-    advanced block-by-block from a {e single} sweep over the trace, so
-    N configurations over the same layout decode and pull each packed
-    word once instead of N times.
+(** Fused replay, the one optimised engine core: a bank of independent
+    per-config engine states (i-cache with optional victim buffer, trace
+    cache, SEQ.3 cycle-grouping cursor) advanced block-by-block from a
+    {e single} sweep over the trace, so N configurations over the same
+    layout decode and pull each packed word once instead of N times.
+    {!run}, {!run_packed} and {!run_stream} are one-slot banks.
 
-    Per-slot results are bit-identical to running each spec alone
-    through {!run_packed} / {!run_stream} — including every cache
+    Per-slot results are bit-identical to running each spec alone in a
+    one-slot bank, and to {!run_naive} — including every cache
     statistic and published [engine.*] counter. The identity rests on
     two structural facts, both enforced by {!Stc_check}'s fused
     differential, the QCheck fused properties and the golden harness:
@@ -173,7 +172,7 @@ val run_stream :
     geometry)] therefore advance one shared walk (a {e cohort}); the
     rest step independently over the same sliding window.
 
-    As with the solo engines, pass fresh caches per spec: the bank owns
+    Pass fresh caches per spec: the bank owns
     their state for the duration of the run, and a non-lead member's
     trace-cache statistics are synthesized from the cohort's (its entry
     array is never filled — correct because nothing observes trace-cache

@@ -9,8 +9,8 @@ module Icache = Stc_cachesim.Icache
    Under the paper's perfect-prediction fetch model the run-ahead path
    is the trace itself, so the FTQ holds the next [ftq_depth] fetch
    targets of the replay. Each simulated fetch cycle drives three
-   steps, in this order, identically in every evaluation mode (solo
-   segments, naive reference, fused bank, oracle):
+   steps, in this order, identically in every evaluation mode (the
+   bank, materialized or streamed; the naive reference; the oracle):
 
      1. [begin_cycle]  — prefetches whose latency elapsed land in L1i;
      2. [demand]       — the cycle's demand line probes (sequential

@@ -139,8 +139,40 @@ let test_determinism_of_pipeline () =
     (Stc_trace.Recorder.hash a.Pipeline.test)
     (Stc_trace.Recorder.hash b.Pipeline.test)
 
+(* Every invalid command-line value is rejected with its own message;
+   --jobs below 1 is adjusted with a note instead. *)
+let test_options_validation () =
+  let module O = Stc_core.Options in
+  let rejected what r =
+    match r with
+    | Error [ msg ] ->
+      Alcotest.(check bool) (what ^ ": message names the option") true
+        (String.length msg > 0 && msg.[0] = '-')
+    | Error _ | Ok _ -> Alcotest.failf "%s: expected exactly one error" what
+  in
+  rejected "scale -1" (O.check ~sf:(-1.0) ());
+  rejected "scale 0" (O.check ~sf:0.0 ());
+  rejected "scale nan" (O.check ~sf:Float.nan ());
+  rejected "branch threshold 2" (O.check ~branch_threshold:2.0 ());
+  rejected "branch threshold -0.1" (O.check ~branch_threshold:(-0.1) ());
+  rejected "exec threshold -5" (O.check ~exec_threshold:(-5) ());
+  rejected "frames 0" (O.check ~frames:0 ());
+  (match O.check ~sf:(-1.0) ~frames:0 () with
+  | Error l -> Alcotest.(check int) "one message per bad value" 2 (List.length l)
+  | Ok _ -> Alcotest.fail "two bad values accepted");
+  (match O.check ~jobs:0 () with
+  | Ok [ _ ] -> ()
+  | _ -> Alcotest.fail "--jobs 0 must run with one note");
+  match
+    O.check ~sf:0.002 ~frames:1 ~exec_threshold:0 ~branch_threshold:1.0
+      ~jobs:1 ()
+  with
+  | Ok [] -> ()
+  | _ -> Alcotest.fail "boundary values must be accepted silently"
+
 let suite =
   [
+    Alcotest.test_case "options validation" `Quick test_options_validation;
     Alcotest.test_case "pipeline smoke" `Quick test_pipeline_smoke;
     Alcotest.test_case "table1 consistent" `Quick test_table1_consistent;
     Alcotest.test_case "figure2 monotone" `Quick test_figure2_monotone;

@@ -4,15 +4,16 @@
    - property: over random traces and random config banks (mixed
      ideal/direct/2-way/victim/trace-cache variants, mixed engine
      configs, occasional direction prediction), Bank.run_packed and
-     Bank.run_stream reproduce each spec's solo run_packed result,
+     Bank.run_stream reproduce each spec's one-slot run_packed result,
      cache counters and trace-cache statistics exactly — at every
      stride and at segment sizes down to 1 block;
    - metric exports: a bank run with a metrics registry publishes
-     byte-identical engine.* counters to the per-cell runs sharing one
+     byte-identical engine.* counters to the one-slot runs sharing one
      registry;
    - Experiments: a store-warm subset (some cells cached from an
      earlier smaller grid, the rest fused in one sweep) produces the
-     same rows, counters and events as an unfused run. *)
+     same rows, counters and events as a cold run without a store, and
+     grids agree across streamed x jobs. *)
 
 module F = Stc_fetch
 module L = Stc_layout
@@ -260,12 +261,12 @@ let store_counter reg name =
   Option.value ~default:0 (List.assoc_opt name (Registry.counters reg))
 
 (* Warm a subset of the grid's cells from a smaller grid sharing their
-   store keys, then run the bigger grid fused: warm cells short-circuit
-   out of their groups, the rest fuse — rows, counters and events must
-   match the unfused reference exactly. *)
+   store keys, then run the bigger grid: warm cells short-circuit out of
+   their groups, the rest fuse — rows, counters and events must match a
+   cold run without a store exactly. *)
 let test_store_warm_subset () =
   with_dir @@ fun dir ->
-  let run ?store ~fused grid =
+  let run ?store grid =
     let reg = Registry.create ~clock:(fun () -> 0.0) () in
     let ctx = Stc_core.Run.default |> Stc_core.Run.with_metrics reg in
     let ctx =
@@ -274,19 +275,19 @@ let test_store_warm_subset () =
       | None -> ctx
     in
     let pl = Pipeline.run ~ctx ~config:tiny_config () in
-    let rows = E.simulate ~ctx ~config:grid ~fused pl in
+    let rows = E.simulate ~ctx ~config:grid pl in
     (reg, rows)
   in
   (* cold small grid populates the store with a strict subset of the
      bigger grid's cell keys *)
-  let _, small_rows = run ~store:dir ~fused:true small_grid in
-  let warm_reg, warm_rows = run ~store:dir ~fused:true bigger_grid in
+  let _, small_rows = run ~store:dir small_grid in
+  let warm_reg, warm_rows = run ~store:dir bigger_grid in
   Alcotest.(check bool) "some cells were warm" true
     (store_counter warm_reg "store.hits" > 0);
   Alcotest.(check bool) "some cells were cold" true
     (store_counter warm_reg "store.misses" > 0);
-  (* unfused reference without a store *)
-  let ref_reg, ref_rows = run ~fused:false bigger_grid in
+  (* cold reference without a store *)
+  let ref_reg, ref_rows = run bigger_grid in
   Alcotest.(check bool) "rows identical" true (warm_rows = ref_rows);
   Alcotest.(check bool) "counters identical" true
     (non_store_counters warm_reg = non_store_counters ref_reg);
@@ -296,33 +297,27 @@ let test_store_warm_subset () =
   Alcotest.(check bool) "subset rows consistent" true
     (List.for_all (fun r -> List.mem r ref_rows) small_rows)
 
-(* Fused and unfused grids agree without any store, in both materialized
-   and streamed modes, at jobs 1 and 2. *)
+(* Grids agree without any store, in both materialized and streamed
+   modes, at jobs 1 and 2; the materialized jobs-1 run is the reference. *)
 let test_fused_grid_identical () =
-  let run ~fused ~streamed ~jobs =
+  let run ~streamed ~jobs =
     let reg = Registry.create ~clock:(fun () -> 0.0) () in
     let ctx =
       Stc_core.Run.default |> Stc_core.Run.with_metrics reg
       |> Stc_core.Run.with_jobs jobs
     in
     let pl = Pipeline.run ~ctx ~config:tiny_config () in
-    let rows = E.simulate ~ctx ~config:small_grid ~streamed ~fused pl in
+    let rows = E.simulate ~ctx ~config:small_grid ~streamed pl in
     (Stc_obs.Export.to_jsonl reg, rows)
   in
-  let ref_export, ref_rows = run ~fused:false ~streamed:false ~jobs:1 in
+  let ref_export, ref_rows = run ~streamed:false ~jobs:1 in
   List.iter
-    (fun (fused, streamed, jobs) ->
-      let export, rows = run ~fused ~streamed ~jobs in
-      let what = Printf.sprintf "fused=%b streamed=%b jobs=%d" fused streamed jobs in
+    (fun (streamed, jobs) ->
+      let export, rows = run ~streamed ~jobs in
+      let what = Printf.sprintf "streamed=%b jobs=%d" streamed jobs in
       Alcotest.(check bool) (what ^ " rows") true (rows = ref_rows);
       Alcotest.(check string) (what ^ " export") ref_export export)
-    [
-      (true, false, 1);
-      (true, true, 1);
-      (true, false, 2);
-      (true, true, 2);
-      (false, true, 1);
-    ]
+    [ (true, 1); (false, 2); (true, 2) ]
 
 let suite =
   [

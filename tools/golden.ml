@@ -2,7 +2,7 @@
    outputs and diff them against committed snapshots.
 
      golden [--update] [--golden DIR] [--jobs N] [--seed N] [--stream]
-            [--no-fuse] [--layouts CSV]
+            [--layouts CSV]
 
    One quick pipeline run (seeded, default 1) produces four artifacts:
 
@@ -22,12 +22,10 @@
    --update and commit the result. The directory check runs before the
    pipeline, so a misconfigured checkout fails in milliseconds.
 
-   --stream replays every simulation cell through the bounded segment
-   pipeline (Engine.run_stream) instead of a materialized packed image;
-   --no-fuse replays each cell with its own engine sweep instead of the
-   default fused per-layout Engine.Bank sweeps.  The snapshots are
-   shared: streaming and fusing are both required to be byte-identical,
-   so the same golden/ directory checks every path.
+   --stream replays every fused per-layout Engine.Bank sweep through the
+   bounded segment pipeline instead of a materialized packed image.  The
+   snapshots are shared: streaming is required to be byte-identical, so
+   the same golden/ directory checks both paths.
 
    --layouts CSV restricts the per-CFA grid rows to the named layout
    algorithms (Stc_layout.Algo registry names; default all). The
@@ -44,7 +42,7 @@ module Obs = Stc_obs
 let usage () =
   prerr_endline
     "usage: golden [--update] [--golden DIR] [--jobs N] [--seed N] [--stream] \
-     [--no-fuse] [--layouts CSV]";
+     [--layouts CSV]";
   exit 2
 
 let parse_args () =
@@ -53,7 +51,6 @@ let parse_args () =
   and jobs = ref 1
   and seed = ref 1
   and streamed = ref false
-  and fused = ref true
   and layouts = ref None in
   let rec go = function
     | [] -> ()
@@ -62,9 +59,6 @@ let parse_args () =
       go rest
     | "--stream" :: rest ->
       streamed := true;
-      go rest
-    | "--no-fuse" :: rest ->
-      fused := false;
       go rest
     | "--golden" :: d :: rest ->
       dir := d;
@@ -90,7 +84,7 @@ let parse_args () =
     | _ -> usage ()
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!update, !dir, !jobs, !seed, !streamed, !fused, !layouts)
+  (!update, !dir, !jobs, !seed, !streamed, !layouts)
 
 let write_lines path lines =
   let oc = open_out path in
@@ -135,7 +129,7 @@ let diff_lines ~name golden current =
   go 1 golden current
 
 let () =
-  let update, dir, jobs, seed, streamed, fused, layouts = parse_args () in
+  let update, dir, jobs, seed, streamed, layouts = parse_args () in
   (* Refuse a comparison against nothing before paying for the run: an
      absent golden directory used to surface only as per-file read
      errors after the full pipeline had completed. *)
@@ -153,13 +147,13 @@ let () =
   in
   let pl = Pipeline.run ~ctx ~config:Pipeline.quick_config () in
   let sim_lines =
-    List.map E.row_to_string (E.simulate ~ctx ~streamed ~fused ?layouts pl)
+    List.map E.row_to_string (E.simulate ~ctx ~streamed ?layouts pl)
   in
   let abl_lines =
-    List.map E.ablation_row_to_string (E.ablation ~ctx ~streamed ~fused pl)
+    List.map E.ablation_row_to_string (E.ablation ~ctx ~streamed pl)
   in
   let ext_lines =
-    List.map E.ext_row_to_string (E.extended ~ctx ~streamed ~fused ?layouts pl)
+    List.map E.ext_row_to_string (E.extended ~ctx ~streamed ?layouts pl)
   in
   let sim_path = Filename.concat dir "simulate_rows.txt" in
   let abl_path = Filename.concat dir "ablation_rows.txt" in
@@ -220,8 +214,7 @@ let () =
          rows, %d metric records, jobs=%d, seed=%d%s)\n"
         (List.length sim_lines) (List.length abl_lines)
         (List.length ext_lines) (List.length met_golden) jobs seed
-        ((if streamed then ", streamed" else "")
-        ^ if fused then "" else ", no-fuse")
+        (if streamed then ", streamed" else "")
     | msgs ->
       List.iter print_endline msgs;
       Printf.printf "golden: %d drift(s) against %s\n" (List.length msgs) dir;

@@ -10,7 +10,7 @@
    against the manifest, missing files). --json emits one JSON object
    per entry (and per manifest summary) instead of the table. --strict
    exits 1 when any entry is corrupt or unreadable, or when any chunked
-   entry has a damaged, drifted or missing segment — the store-smoke CI
+   entry has a damaged, drifted or missing segment — the equiv-smoke CI
    alias runs it after a warm pass to assert the cache survived intact.
 
    Exit codes: 0 ok, 1 corrupt entries under --strict, 2 usage error. *)

@@ -4,14 +4,12 @@
 
    Reports total wall clock, a table of top-level slices (per-phase wall
    time), pool utilization per domain (share of the pool window each
-   domain spent inside "pool.chunk" slices), per-domain engine segment
-   windows ("engine.segment" Complete slices from streamed replays,
-   with the block counts they carry), fused replay sweeps
+   domain spent inside "pool.chunk" slices), fused replay sweeps
    ("engine.fused" Complete slices, one per per-layout bank sweep with
-   the number of cells it fused), the N slowest grid cells
-   ("cell:..." slices, --top, default 10), and the artifact-store time
-   split (store.hit / store.miss / store.write Complete events with
-   their byte volumes).
+   the number of cells it fused), the N slowest fused groups
+   ("fused:<table> <layout> (N cells)" slices, --top, default 10), and
+   the artifact-store time split (store.hit / store.miss / store.write
+   Complete events with their byte volumes).
 
    --assert-utilization PCT exits 1 unless the mean worker utilization
    over the pool window is at least PCT percent — the CI guard that the
@@ -241,47 +239,6 @@ let pool_utilization slices =
       (fus window) mean (List.length utils);
     Some mean
 
-(* Streamed engine replays emit one "engine.segment" Complete slice per
-   consumed segment window, carrying the blocks consumed as its payload.
-   Summarize them per domain so utilization assertions stay meaningful
-   when cells stream instead of holding a packed image. *)
-let engine_segments slices =
-  let segs = List.filter (fun s -> s.s_name = "engine.segment") slices in
-  if segs <> [] then begin
-    section "engine segments (streamed replay windows)";
-    let tbl =
-      Tbl.create
-        ~headers:
-          [
-            ("domain", Tbl.Left);
-            ("segments", Tbl.Right);
-            ("blocks", Tbl.Right);
-            ("total", Tbl.Right);
-            ("mean", Tbl.Right);
-          ]
-    in
-    List.iter
-      (fun (tid, pairs) ->
-        let n = List.length pairs in
-        let total = List.fold_left (fun acc (d, _) -> acc +. d) 0.0 pairs in
-        let blocks = List.fold_left (fun acc (_, b) -> acc + b) 0 pairs in
-        Tbl.add_row tbl
-          [
-            Printf.sprintf "domain-%d" tid;
-            string_of_int n;
-            string_of_int blocks;
-            fus total;
-            fus (total /. float_of_int n);
-          ])
-      (List.sort compare
-         (group_by (fun s -> s.s_tid) (fun s -> (s.s_dur, s.s_bytes)) segs));
-    print_string (Tbl.render tbl);
-    Printf.printf "%d segment window(s) across %d domain(s)\n\n"
-      (List.length segs)
-      (List.length
-         (List.sort_uniq compare (List.map (fun s -> s.s_tid) segs)))
-  end
-
 (* Fused replay banks emit one "engine.fused" Complete slice per
    per-layout sweep, carrying the number of cells fused into it.  Sweeps
    are few and long — list each one. *)
@@ -304,26 +261,30 @@ let fused_sweeps slices =
           ])
       fs;
     print_string (Tbl.render tbl);
+    print_newline ();
     let cells = List.fold_left (fun acc s -> acc + s.s_bytes) 0 fs in
     Printf.printf "%d sweep(s) fusing %d cell(s), %.1f cells/sweep\n\n"
       (List.length fs) cells
       (float_of_int cells /. float_of_int (List.length fs))
   end
 
-let top_cells slices top =
-  let cells =
-    List.filter (fun s -> String.starts_with ~prefix:"cell:" s.s_name) slices
+(* Each fused group (one layout's cells of one grid table: lookups,
+   compile and sweep) runs inside one "fused:<table> <layout> (N cells)"
+   slice. *)
+let top_groups slices top =
+  let groups =
+    List.filter (fun s -> String.starts_with ~prefix:"fused:" s.s_name) slices
   in
-  if cells <> [] then begin
-    section (Printf.sprintf "slowest cells (top %d of %d)" top
-       (List.length cells));
+  if groups <> [] then begin
+    section (Printf.sprintf "slowest fused groups (top %d of %d)" top
+       (List.length groups));
     let sorted =
-      List.sort (fun a b -> compare b.s_dur a.s_dur) cells
+      List.sort (fun a b -> compare b.s_dur a.s_dur) groups
     in
     let tbl =
       Tbl.create
         ~headers:
-          [ ("cell", Tbl.Left); ("domain", Tbl.Right); ("wall", Tbl.Right) ]
+          [ ("group", Tbl.Left); ("domain", Tbl.Right); ("wall", Tbl.Right) ]
     in
     List.iteri
       (fun i s ->
@@ -417,9 +378,8 @@ let () =
   print_newline ();
   top_level_table slices;
   let mean_util = pool_utilization slices in
-  engine_segments slices;
   fused_sweeps slices;
-  top_cells slices top;
+  top_groups slices top;
   store_split slices;
   match assert_util with
   | None -> ()
