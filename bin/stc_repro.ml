@@ -97,18 +97,6 @@ let trace_arg =
            tracer is entirely absent and the run's outputs are \
            byte-identical to an untraced run.")
 
-let stream_arg =
-  Arg.(
-    value & flag
-    & info [ "stream" ]
-        ~doc:
-          "Replay each simulation cell through the bounded segment \
-           pipeline (Stc_trace.Source → Stc_fetch.Stream → \
-           Engine.Bank.run_stream) instead of a fully materialized packed \
-           trace image. Results, tables and metric exports are \
-           byte-identical; only the peak resident trace footprint \
-           changes.")
-
 let progress_arg =
   Arg.(
     value & flag
@@ -268,7 +256,7 @@ let characterize_cmd =
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
       $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
 
-let simulate_run quick sf seed frames jobs store exec branch streamed layouts
+let simulate_run quick sf seed frames jobs store exec branch layouts
     metrics trace progress =
   let layouts = parse_layouts layouts in
   let reg, tracer, ctx, pl =
@@ -279,7 +267,7 @@ let simulate_run quick sf seed frames jobs store exec branch streamed layouts
     ctx.Run.jobs;
   let t0 = Unix.gettimeofday () in
   let rows =
-    E.simulate ~ctx ~config:(sim_config exec branch) ~streamed ?layouts pl
+    E.simulate ~ctx ~config:(sim_config exec branch) ?layouts pl
   in
   Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
     (Unix.gettimeofday () -. t0);
@@ -293,14 +281,14 @@ let simulate_run quick sf seed frames jobs store exec branch streamed layouts
 let simulate_term =
   Term.(
     const simulate_run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-    $ store_arg $ exec_arg $ branch_arg $ stream_arg $ layouts_arg
+    $ store_arg $ exec_arg $ branch_arg $ layouts_arg
     $ metrics_arg $ trace_arg $ progress_arg)
 
 let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Section 7: Table 3 and Table 4.") simulate_term
 
 let extended_cmd =
-  let run quick sf seed frames jobs store exec branch streamed layouts metrics
+  let run quick sf seed frames jobs store exec branch layouts metrics
       trace progress =
     let layouts = parse_layouts layouts in
     let reg, tracer, ctx, pl =
@@ -312,7 +300,7 @@ let extended_cmd =
       ctx.Run.jobs;
     let t0 = Unix.gettimeofday () in
     let rows =
-      E.extended ~ctx ~config:(sim_config exec branch) ~streamed ?layouts pl
+      E.extended ~ctx ~config:(sim_config exec branch) ?layouts pl
     in
     Printf.printf "%d simulations in %.1fs.\n\n%!" (List.length rows)
       (Unix.gettimeofday () -. t0);
@@ -328,22 +316,22 @@ let extended_cmd =
           per-line temperatures come from each layout's own hotness.")
     Term.(
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ exec_arg $ branch_arg $ stream_arg $ layouts_arg
+      $ store_arg $ exec_arg $ branch_arg $ layouts_arg
       $ metrics_arg $ trace_arg $ progress_arg)
 
 let ablation_cmd =
-  let run quick sf seed frames jobs store streamed metrics trace progress =
+  let run quick sf seed frames jobs store metrics trace progress =
     let reg, tracer, ctx, pl =
       start quick sf seed frames jobs store metrics trace progress
     in
-    E.print_ablation (E.ablation ~ctx ~streamed pl);
+    E.print_ablation (E.ablation ~ctx pl);
     finish reg tracer store metrics trace
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"STC threshold and CFA-size sweep.")
     Term.(
       const run $ quick_arg $ sf_arg $ seed_arg $ frames_arg $ jobs_arg
-      $ store_arg $ stream_arg $ metrics_arg $ trace_arg $ progress_arg)
+      $ store_arg $ metrics_arg $ trace_arg $ progress_arg)
 
 let extensions_cmd =
   let run quick sf seed frames jobs store metrics trace progress =

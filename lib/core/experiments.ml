@@ -245,11 +245,6 @@ type cell = {
   c_variant : variant;
   c_cache_kb : int;
   c_cfa_kb : int option;
-  c_streamed : bool;
-      (* replay through Engine.Bank.run_stream over bounded segments
-         instead of a whole compiled image; results are identical by
-         construction, so streamed cells share store keys with
-         materialized ones *)
   c_assoc : int;
       (* associativity of Direct/Trace_cache variants (the extended grid
          runs them 4-way); 1 = the paper's machine *)
@@ -368,14 +363,14 @@ let finish_cell ~metrics cell r =
 
    The planned cells are re-grouped by layout (physical identity,
    first-appearance order) and each group's cold cells replay as one
-   {!F.Engine.Bank} sweep — the layout's packed trace is compiled (or,
-   streamed, pulled through a single sliding window) once per group
-   instead of once per cell.  Everything a cell observes is its own: its
-   store key, its warm-hit short-circuit (a store-warm cell is dropped
-   from the bank before the sweep), its one {!Progress} tick, and its
-   registry writes — each cell flushes into its own shard, and shards
-   merge into the main registry in cell {e input} order, so rows, metric
-   exports and golden snapshots are byte-identical at any [--jobs]. *)
+   {!F.Engine.Bank} sweep — the layout's packed trace is compiled once
+   per group instead of once per cell.  Everything a cell observes is
+   its own: its store key, its warm-hit short-circuit (a store-warm cell
+   is dropped from the bank before the sweep), its one {!Progress} tick,
+   and its registry writes — each cell flushes into its own shard, and
+   shards merge into the main registry in cell {e input} order, so rows,
+   metric exports and golden snapshots are byte-identical at any
+   [--jobs]. *)
 
 type fgroup = { g_layout : L.Layout.t; g_cells : int array (* input indices *) }
 
@@ -459,19 +454,10 @@ let exec_fgroup_inner ~metrics ~trace ~store (pl : Pipeline.t) cells ~tick g =
       | Some tr -> Run.with_trace tr Run.default
       | None -> Run.default
     in
-    let rs =
-      if cells.(idxs.(cold.(0))).c_streamed then begin
-        let tables = F.Packed.tables pl.Pipeline.program g.g_layout in
-        let stream = F.Stream.create tables (Pipeline.test_source pl) in
-        F.Engine.Bank.run_stream ~ctx:bctx specs stream
-      end
-      else
-        let packed =
-          F.Packed.compile pl.Pipeline.program g.g_layout
-            (Pipeline.test_source pl)
-        in
-        F.Engine.Bank.run_packed ~ctx:bctx specs packed
+    let packed =
+      F.Packed.compile pl.Pipeline.program g.g_layout (Pipeline.test_source pl)
     in
+    let rs = F.Engine.Bank.run_packed ~ctx:bctx specs packed in
     Array.iteri
       (fun j i ->
         let r = rs.(j) in
@@ -647,7 +633,7 @@ let baseline_params = L.Algo.params ~cache_bytes:0 ~cfa_bytes:0 ()
 (* The serial prefix: build every layout (cheap, and Profile memoizes a
    successor cache that must not be raced) and list the grid's cells in
    the exact order the serial implementation visited them. *)
-let plan_simulate ~ctx ~streamed ?layouts config (pl : Pipeline.t) =
+let plan_simulate ~ctx ?layouts config (pl : Pipeline.t) =
   let algos = selected_algos layouts in
   let cached_layout = layout_cache ~ctx pl in
   let profile = pl.Pipeline.profile in
@@ -664,7 +650,6 @@ let plan_simulate ~ctx ~streamed ?layouts config (pl : Pipeline.t) =
         c_variant = variant;
         c_cache_kb = cache_kb;
         c_cfa_kb = cfa_kb;
-        c_streamed = streamed;
         c_assoc = 1;
         c_policy = Stc_cachesim.Icache.Lru;
         c_fdip = None;
@@ -707,11 +692,10 @@ let plan_simulate ~ctx ~streamed ?layouts config (pl : Pipeline.t) =
     config.grid;
   List.rev !cells
 
-let simulate ?(ctx = Run.default) ?(config = default_sim_config)
-    ?(streamed = false) ?layouts pl =
+let simulate ?(ctx = Run.default) ?(config = default_sim_config) ?layouts pl =
   Run.span ctx "simulate-grid" @@ fun () ->
   run_cells ~ctx ~label:"simulate" pl
-    (plan_simulate ~ctx ~streamed ?layouts config pl)
+    (plan_simulate ~ctx ?layouts config pl)
 
 (* ---------- extended grid: prefetch × replacement ----------
 
@@ -724,7 +708,7 @@ let simulate ?(ctx = Run.default) ?(config = default_sim_config)
    pair carries its matching hint — and the table enters the cell's
    store key by fingerprint. *)
 
-let plan_extended ~ctx ~streamed ?layouts config (pl : Pipeline.t) =
+let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
   let algos = selected_algos layouts in
   let cached_layout = layout_cache ~ctx pl in
   let profile = pl.Pipeline.profile in
@@ -771,7 +755,6 @@ let plan_extended ~ctx ~streamed ?layouts config (pl : Pipeline.t) =
                         c_variant = Direct;
                         c_cache_kb = cache_kb;
                         c_cfa_kb = cfa_kb;
-                        c_streamed = streamed;
                         c_assoc = 4;
                         c_policy = policy;
                         c_fdip = fdip;
@@ -787,11 +770,10 @@ let plan_extended ~ctx ~streamed ?layouts config (pl : Pipeline.t) =
     grid;
   List.rev !cells
 
-let extended ?(ctx = Run.default) ?(config = default_sim_config)
-    ?(streamed = false) ?layouts pl =
+let extended ?(ctx = Run.default) ?(config = default_sim_config) ?layouts pl =
   Run.span ctx "extended-grid" @@ fun () ->
   run_cells ~ctx ~label:"extended" pl
-    (plan_extended ~ctx ~streamed ?layouts config pl)
+    (plan_extended ~ctx ?layouts config pl)
 
 let print_extended rows =
   let t =
@@ -1069,7 +1051,7 @@ type ablation_row = {
   a_bandwidth : float;
 }
 
-let ablation ?(ctx = Run.default) ?(streamed = false) ?(cache_kb = 32)
+let ablation ?(ctx = Run.default) ?(cache_kb = 32)
     ?(exec_thresholds = [ 1; 10; 50; 200; 1000 ])
     ?(branch_thresholds = [ 0.1; 0.3; 0.5 ]) ?(cfa_kbs = [ 4; 8; 16 ])
     (pl : Pipeline.t) =
@@ -1107,7 +1089,6 @@ let ablation ?(ctx = Run.default) ?(streamed = false) ?(cache_kb = 32)
                   c_variant = Direct;
                   c_cache_kb = cache_kb;
                   c_cfa_kb = Some a_cfa_kb;
-                  c_streamed = streamed;
                   c_assoc = 1;
                   c_policy = Stc_cachesim.Icache.Lru;
                   c_fdip = None;

@@ -101,7 +101,6 @@ val resolve_layouts :
 val simulate :
   ?ctx:Run.ctx ->
   ?config:sim_config ->
-  ?streamed:bool ->
   ?layouts:string list ->
   Pipeline.t ->
   row list
@@ -126,12 +125,10 @@ val simulate :
     group's sweep), progress tick and registry shard, so rows and metric
     exports are byte-identical at any job count.
 
-    With [~streamed:true] each group replays the Test trace through a
-    bounded segment pipeline ({!Stc_trace.Source} →
-    {!Stc_fetch.Stream} → {!Stc_fetch.Engine.Bank.run_stream}) instead
-    of a fully materialized {!Stc_fetch.Packed} image; results and exported
-    counters are identical by construction, so streamed cells share
-    artifact-store keys with materialized ones. With [ctx.metrics], the whole grid
+    Every sweep replays a fully materialized {!Stc_fetch.Packed} image.
+    Streamed replay ({!Stc_fetch.Engine.Bank.run_stream}) is a library
+    API with identical results; a measured A/B (EXPERIMENTS.md) found it
+    better on no grid workload, so the grid does not offer it. With [ctx.metrics], the whole grid
     runs inside a [simulate-grid] span (layout construction in child
     spans), the fetch engine accumulates its [engine.*] counters, and
     every simulation emits one [table34.cell] event carrying the row plus
@@ -151,7 +148,6 @@ val simulate :
 val extended :
   ?ctx:Run.ctx ->
   ?config:sim_config ->
-  ?streamed:bool ->
   ?layouts:string list ->
   Pipeline.t ->
   row list
@@ -161,7 +157,7 @@ val extended :
     replacement policy (LRU, SRRIP, TRRIP) and FDIP prefetching (off,
     on). TRRIP's per-line temperature table is derived from each
     layout's own hotness ({!Stc_cachesim.Temperature.of_blocks}) in the
-    serial prefix. Execution, fusing, streaming, store caching, metrics
+    serial prefix. Execution, fusing, store caching, metrics
     ([extended.cell] events, with the policy/prefetch fields and
     counters appended) and determinism guarantees are exactly
     {!simulate}'s. *)
@@ -189,7 +185,6 @@ type ablation_row = {
 
 val ablation :
   ?ctx:Run.ctx ->
-  ?streamed:bool ->
   ?cache_kb:int ->
   ?exec_thresholds:int list ->
   ?branch_thresholds:float list ->
@@ -199,8 +194,7 @@ val ablation :
 (** Sweep the STC parameters (ops seeds) at one cache size. Layout
     construction is a serial prefix; sweep points run on [ctx.jobs]
     domains with the same determinism guarantee as {!simulate}.
-    [~streamed:true] replays each point through the segment pipeline,
-    exactly as in {!simulate}. (Every ablation point builds its own ops
+    (Every ablation point builds its own ops
     layout, so fused groups are one-slot banks here.) With
     [ctx.metrics], each sweep point emits one [ablation.cell] event.
     [ctx.store] caches the swept layouts and per-point engine results

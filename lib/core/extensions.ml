@@ -5,61 +5,48 @@ module Tbl = Stc_util.Tbl
 
 (* Every extension study funnels its engine runs through here: one
    (program, layout, trace) replay against a fresh [cache_kb] i-cache of
-   [assoc] ways. With [ctx.store], the compiled trace image and — for
-   prediction-free runs — the whole engine result are consulted in the
-   artifact store first. Prediction runs always replay (a stored result
-   cannot reconstruct the predictor's accuracy state), which is exactly
-   where the cached packed image pays off. *)
+   [assoc] ways. With [ctx.store], a prediction-free run consults the
+   artifact store for its whole engine result first. Prediction runs
+   always replay (a stored result cannot reconstruct the predictor's
+   accuracy state); their packed image is compiled fresh, which is
+   faster than reading a stored one back. *)
 let fetch_run ~ctx ?(assoc = 1) ?config program layout trace ~cache_kb
     ?prediction () =
   let config =
     match config with Some c -> c | None -> F.Engine.Config.default
   in
-  let icache () =
-    Stc_cachesim.Icache.create ~assoc ~size_bytes:(cache_kb * 1024) ()
-  in
-  match Stc_store.of_ctx ctx with
-  | None ->
-    F.Engine.run ~ctx ~config ~icache:(icache ()) ?prediction
-      (F.View.create program layout (Stc_trace.Source.of_recorder trace))
-  | Some st -> (
-    let prog_fp = Stc_store.Fp.program program in
-    let lay_fp = Stc_store.Fp.layout layout in
-    let trace_fp = Stc_store.Fp.trace trace in
-    let packed () =
-      let key =
-        Stc_store.Key.of_parts [ "packed"; prog_fp; lay_fp; trace_fp ]
-      in
-      Stc_store.Packed.cached (Some st) ~key (fun () ->
-          F.Packed.compile program layout (Stc_trace.Source.of_recorder trace))
+  let replay () =
+    let icache =
+      Stc_cachesim.Icache.create ~assoc ~size_bytes:(cache_kb * 1024) ()
     in
-    match prediction with
-    | Some _ ->
-      F.Engine.run_packed ~ctx ~config ~icache:(icache ()) ?prediction
-        (packed ())
-    | None -> (
-      let key =
-        Stc_store.Key.of_parts
-          [
-            "engine-result";
-            prog_fp;
-            lay_fp;
-            trace_fp;
-            Stc_store.Fp.engine_config config;
-            string_of_int assoc;
-            string_of_int cache_kb;
-          ]
-      in
-      match Stc_store.Result.load st ~key with
-      | Some r ->
-        (match ctx.Run.metrics with
-        | Some reg -> F.Engine.publish reg r
-        | None -> ());
-        r
-      | None ->
-        let r = F.Engine.run_packed ~ctx ~config ~icache:(icache ()) (packed ()) in
-        Stc_store.Result.save st ~key r;
-        r))
+    F.Engine.run_packed ~ctx ~config ~icache ?prediction
+      (F.Packed.compile program layout (Stc_trace.Source.of_recorder trace))
+  in
+  match (Stc_store.of_ctx ctx, prediction) with
+  | None, _ | Some _, Some _ -> replay ()
+  | Some st, None -> (
+    let key =
+      Stc_store.Key.of_parts
+        [
+          "engine-result";
+          Stc_store.Fp.program program;
+          Stc_store.Fp.layout layout;
+          Stc_store.Fp.trace trace;
+          Stc_store.Fp.engine_config config;
+          string_of_int assoc;
+          string_of_int cache_kb;
+        ]
+    in
+    match Stc_store.Result.load st ~key with
+    | Some r ->
+      (match ctx.Run.metrics with
+      | Some reg -> F.Engine.publish reg r
+      | None -> ());
+      r
+    | None ->
+      let r = replay () in
+      Stc_store.Result.save st ~key r;
+      r)
 
 (* ---------- inlining ---------- *)
 

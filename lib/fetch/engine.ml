@@ -13,6 +13,17 @@ module Config = struct
 
   let make ?(max_branches = 3) ?(line_bytes = 32) ?(miss_penalty = 5) ?fdip ()
       =
+    if max_branches < 1 then
+      invalid_arg "Engine.Config.make: max_branches must be at least 1";
+    if
+      line_bytes < Stc_cfg.Block.instr_bytes
+      || line_bytes land (line_bytes - 1) <> 0
+    then
+      invalid_arg
+        "Engine.Config.make: line_bytes must be a power of two no smaller \
+         than an instruction";
+    if miss_penalty < 0 then
+      invalid_arg "Engine.Config.make: miss_penalty must be non-negative";
     { max_branches; line_bytes; miss_penalty; fdip }
 end
 

@@ -39,7 +39,9 @@ module Config : sig
     ?fdip:Fdip.config ->
     unit ->
     t
-  (** Override any subset of {!default}. *)
+  (** Override any subset of {!default}. Raises [Invalid_argument] when
+      [max_branches < 1], when [line_bytes] is not a power of two or is
+      below {!Stc_cfg.Block.instr_bytes}, or when [miss_penalty < 0]. *)
 end
 
 type config = Config.t

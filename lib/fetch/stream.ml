@@ -5,8 +5,6 @@ type t = { next : unit -> Packed.t option }
 
 let next t = t.next ()
 
-let of_fun f = { next = f }
-
 let of_packed p =
   let pending = ref (Some p) in
   {

@@ -17,9 +17,4 @@ val create : Packed.tables -> Stc_trace.Source.t -> t
 val of_packed : Packed.t -> t
 (** A single-segment stream: yields the image once, then [None]. *)
 
-val of_fun : (unit -> Packed.t option) -> t
-(** Wrap a raw pull function (tests). Must yield consecutive packed
-    segments whose concatenation is a valid whole-trace image, then
-    [None] forever. *)
-
 val next : t -> Packed.t option

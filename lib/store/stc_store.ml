@@ -111,9 +111,18 @@ module Dec = struct
 
   let float d = Int64.float_of_bits (i64 d)
 
-  let str d =
+  (* An element count for an allocation sized by it. Every element
+     encodes in at least one byte, so a count above the bytes left is
+     malformed — checked before anything is allocated, so a corrupt
+     varint can never ask for a huge array. *)
+  let count d =
     let n = varint d in
-    if d.pos + n > String.length d.s then corrupt "string runs past payload";
+    if n > String.length d.s - d.pos then
+      corrupt "count %d exceeds the %d bytes left" n (String.length d.s - d.pos);
+    n
+
+  let str d =
+    let n = count d in
     let s = String.sub d.s d.pos n in
     d.pos <- d.pos + n;
     s
@@ -389,48 +398,6 @@ let cached_with ~load ~save store ~key compute =
           save t ~key v;
           v)
 
-module Trace = struct
-  let kind = "trace"
-
-  let version = 1
-
-  let encode r =
-    let b = Buffer.create 4096 in
-    let n = Recorder.length r in
-    Enc.varint b n;
-    for i = 0 to n - 1 do
-      Enc.varint b (Recorder.get r i)
-    done;
-    let marks = Recorder.marks r in
-    Enc.varint b (List.length marks);
-    List.iter
-      (fun (name, pos) ->
-        Enc.str b name;
-        Enc.varint b pos)
-      marks;
-    Buffer.contents b
-
-  let decode payload =
-    let d = Dec.make payload in
-    let n = Dec.varint d in
-    let ids = Array.init n (fun _ -> Dec.varint d) in
-    let n_marks = Dec.varint d in
-    let marks =
-      List.init n_marks (fun _ ->
-          let name = Dec.str d in
-          let pos = Dec.varint d in
-          (name, pos))
-    in
-    Dec.finish d;
-    Recorder.of_ids ids ~marks
-
-  let load t ~key = load_with t ~kind ~version ~decode key
-
-  let save t ~key r = write t ~kind ~version key (encode r)
-
-  let cached store ~key f = cached_with ~load ~save store ~key f
-end
-
 (* Chunked traces: a manifest record plus one CRC-checked container per
    segment, so huge traces replay warm through a {!Source} without ever
    being fully resident, and damage is repaired at segment granularity
@@ -474,9 +441,9 @@ module Chunked = struct
     let d = Dec.make payload in
     let m_total_blocks = Dec.varint d in
     let m_segment_blocks = Dec.varint d in
-    let n_segs = Dec.varint d in
+    let n_segs = Dec.count d in
     let m_seg_lens = Array.init n_segs (fun _ -> Dec.varint d) in
-    let n_marks = Dec.varint d in
+    let n_marks = Dec.count d in
     let m_marks =
       List.init n_marks (fun _ ->
           let name = Dec.str d in
@@ -500,7 +467,7 @@ module Chunked = struct
 
   let decode_segment ~base payload =
     let d = Dec.make payload in
-    let n = Dec.varint d in
+    let n = Dec.count d in
     let ids = Segment.alloc n in
     for i = 0 to n - 1 do
       Bigarray.Array1.set ids i (Dec.varint d)
@@ -636,7 +603,7 @@ module Layout = struct
   let decode payload =
     let d = Dec.make payload in
     let name = Dec.str d in
-    let n = Dec.varint d in
+    let n = Dec.count d in
     let addr = Array.init n (fun _ -> Dec.varint d) in
     Dec.finish d;
     { Stc_layout.Layout.name; addr }
@@ -644,48 +611,6 @@ module Layout = struct
   let load t ~key = load_with t ~kind ~version ~decode key
 
   let save t ~key l = write t ~kind ~version key (encode l)
-
-  let cached store ~key f = cached_with ~load ~save store ~key f
-end
-
-module Packed = struct
-  let kind = "packed"
-
-  let version = 1
-
-  let max_persist_words = 4_000_000
-
-  let encode p =
-    let b = Buffer.create 4096 in
-    let len = Stc_fetch.Packed.length p in
-    let words = Stc_fetch.Packed.raw p in
-    Enc.varint b len;
-    for i = 0 to len - 1 do
-      Enc.varint b words.(i)
-    done;
-    Enc.varint b (Stc_fetch.Packed.total_instrs p);
-    Enc.varint b (Stc_fetch.Packed.taken_branches p);
-    Buffer.contents b
-
-  let decode payload =
-    let d = Dec.make payload in
-    let len = Dec.varint d in
-    let words = Array.make (max len 1) 0 in
-    for i = 0 to len - 1 do
-      words.(i) <- Dec.varint d
-    done;
-    let total_instrs = Dec.varint d in
-    let taken_branches = Dec.varint d in
-    Dec.finish d;
-    match Stc_fetch.Packed.of_raw ~words ~len ~total_instrs ~taken_branches with
-    | p -> p
-    | exception Invalid_argument m -> corrupt "%s" m
-
-  let load t ~key = load_with t ~kind ~version ~decode key
-
-  let save t ~key p =
-    if Stc_fetch.Packed.memory_words p <= max_persist_words then
-      write t ~kind ~version key (encode p)
 
   let cached store ~key f = cached_with ~load ~save store ~key f
 end

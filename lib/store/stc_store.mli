@@ -4,9 +4,10 @@
     then replay it against many layouts and cache geometries — so almost
     everything the pipeline computes is a pure function of a describable
     input set. This store persists those computations between runs:
-    recorded traces ({!Stc_trace.Recorder}), layouts
-    ({!Stc_layout.Layout}), packed trace images ({!Stc_fetch.Packed})
-    and per-simulation engine results ({!Stc_fetch.Engine.result}).
+    recorded traces ({!Stc_trace.Recorder}, stored in segments by
+    {!Chunked}), layouts ({!Stc_layout.Layout}) and per-simulation engine
+    results ({!Stc_fetch.Engine.result}). Packed trace images are not
+    stored: compiling one is faster than reading it back.
 
     {2 Addressing}
 
@@ -102,22 +103,9 @@ val write : t -> kind:string -> version:int -> Key.t -> string -> unit
     else compute and record — on [None] stores, just compute). [encode]
     and [decode] are the bare codecs: [decode (encode x)] reconstructs
     [x] and is property-tested; [decode] raises {!Corrupt} on malformed
-    bytes. *)
-
-module Trace : sig
-  val version : int
-
-  val encode : Stc_trace.Recorder.t -> string
-
-  val decode : string -> Stc_trace.Recorder.t
-
-  val load : t -> key:Key.t -> Stc_trace.Recorder.t option
-
-  val save : t -> key:Key.t -> Stc_trace.Recorder.t -> unit
-
-  val cached :
-    t option -> key:Key.t -> (unit -> Stc_trace.Recorder.t) -> Stc_trace.Recorder.t
-end
+    bytes — never anything else, and never allocates more elements than
+    the payload has bytes left, whatever count a damaged header
+    declares. *)
 
 (** Chunked traces: one manifest entry ([trace-man]) plus one CRC-checked
     container per segment ([trace-seg]), for traces that should replay
@@ -198,28 +186,6 @@ module Layout : sig
     key:Key.t ->
     (unit -> Stc_layout.Layout.t) ->
     Stc_layout.Layout.t
-end
-
-module Packed : sig
-  val version : int
-
-  val max_persist_words : int
-  (** Images above this size (4M trace indices ≈ 32 MB on disk) are not
-      persisted by [save]/[cached]: at that scale re-reading the bytes
-      costs about as much as recompiling from the (much smaller) trace
-      artifact, so the disk space buys nothing. [load] still accepts
-      any size. *)
-
-  val encode : Stc_fetch.Packed.t -> string
-
-  val decode : string -> Stc_fetch.Packed.t
-
-  val load : t -> key:Key.t -> Stc_fetch.Packed.t option
-
-  val save : t -> key:Key.t -> Stc_fetch.Packed.t -> unit
-
-  val cached :
-    t option -> key:Key.t -> (unit -> Stc_fetch.Packed.t) -> Stc_fetch.Packed.t
 end
 
 module Result : sig

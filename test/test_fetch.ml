@@ -370,8 +370,30 @@ let test_engine_run_equals_run_packed () =
   let b = F.Engine.run_packed (F.View.pack view) in
   Alcotest.(check bool) "equal" true (a = b)
 
+let test_config_validation () =
+  let rejects what make =
+    match make () with
+    | _ -> Alcotest.failf "Config.make accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let make = F.Engine.Config.make in
+  rejects "line_bytes 24" (make ~line_bytes:24);
+  rejects "line_bytes 2" (make ~line_bytes:2);
+  rejects "line_bytes 0" (make ~line_bytes:0);
+  rejects "max_branches 0" (make ~max_branches:0);
+  rejects "miss_penalty -1" (make ~miss_penalty:(-1));
+  (* the boundary values stay legal *)
+  let c =
+    make ~line_bytes:Stc_cfg.Block.instr_bytes ~max_branches:1 ~miss_penalty:0
+      ()
+  in
+  Alcotest.(check int) "one-instruction lines" Stc_cfg.Block.instr_bytes
+    c.F.Engine.Config.line_bytes
+
 let suite =
   [
+    Alcotest.test_case "Config.make rejects invalid values" `Quick
+      test_config_validation;
     Alcotest.test_case "ideal single window" `Quick test_ideal_single_window;
     Alcotest.test_case "taken branch splits fetch" `Quick
       test_taken_branch_splits_fetch;

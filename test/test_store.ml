@@ -4,7 +4,6 @@ module Run = Stc_core.Run
 module E = Stc_core.Experiments
 module Pipeline = Stc_core.Pipeline
 module F = Stc_fetch
-module Recorder = Stc_trace.Recorder
 
 (* Every test gets its own throwaway store directory under the system
    temp dir, removed on success (a failed test leaves it for autopsy). *)
@@ -127,52 +126,38 @@ let test_cached_repairs () =
   with_dir @@ fun dir ->
   let reg = Registry.create () in
   let st = Store.open_ ~metrics:reg dir in
-  let key = Store.Key.of_parts [ "trace"; "repair" ] in
-  let rec_ = Recorder.of_ids [| 3; 1; 4; 1; 5; 9; 2; 6 |] ~marks:[ ("q1", 2) ] in
+  let key = Store.Key.of_parts [ "layout"; "repair" ] in
+  let layout =
+    { Stc_layout.Layout.name = "repair"; addr = [| 3; 1; 4; 1; 5; 9; 2; 6 |] }
+  in
   let computed = ref 0 in
   let compute () =
     incr computed;
-    rec_
+    layout
   in
   (* miss -> compute -> write *)
-  let r1 = Store.Trace.cached (Some st) ~key compute in
+  let l1 = Store.Layout.cached (Some st) ~key compute in
   Alcotest.(check int) "computed once" 1 !computed;
-  Alcotest.(check int) "round-tripped length" (Recorder.length rec_)
-    (Recorder.length r1);
+  Alcotest.(check bool) "round-tripped" true (l1 = layout);
   (* hit -> no recompute *)
-  ignore (Store.Trace.cached (Some st) ~key compute);
+  ignore (Store.Layout.cached (Some st) ~key compute);
   Alcotest.(check int) "served from store" 1 !computed;
   (* corrupt the entry: cached recomputes and repairs it *)
   let path = entry_path dir in
   write_file path (String.sub (read_file path) 0 8);
-  let r2 = Store.Trace.cached (Some st) ~key compute in
+  let l2 = Store.Layout.cached (Some st) ~key compute in
   Alcotest.(check int) "recomputed after damage" 2 !computed;
-  Alcotest.(check bool) "ids intact" true
-    (Array.init (Recorder.length r2) (Recorder.get r2)
-    = Array.init (Recorder.length rec_) (Recorder.get rec_));
+  Alcotest.(check bool) "addresses intact" true (l2 = layout);
   Alcotest.(check bool) "damage warned" true (warnings reg <> []);
   (* the rewrite healed the entry *)
-  (match Store.Trace.load st ~key with
-  | Some r -> Alcotest.(check int) "healed" (Recorder.length rec_) (Recorder.length r)
+  (match Store.Layout.load st ~key with
+  | Some l -> Alcotest.(check bool) "healed" true (l = layout)
   | None -> Alcotest.fail "entry not repaired");
   (* a None store computes every time *)
-  ignore (Store.Trace.cached None ~key compute);
+  ignore (Store.Layout.cached None ~key compute);
   Alcotest.(check int) "no store, no cache" 3 !computed
 
 (* ---------- codec round-trip properties ---------- *)
-
-let ids_of r = Array.init (Recorder.length r) (Recorder.get r)
-
-let prop_trace_codec =
-  QCheck.Test.make ~name:"trace codec roundtrip" ~count:100
-    QCheck.(
-      pair
-        (array_of_size Gen.(int_range 0 200) (int_bound 10_000))
-        (small_list (pair printable_string (int_bound 200))))
-    (fun (ids, marks) ->
-      let r = Recorder.of_ids ids ~marks in
-      let r' = Store.Trace.decode (Store.Trace.encode r) in
-      ids_of r' = ids && Recorder.marks r' = marks)
 
 let prop_layout_codec =
   QCheck.Test.make ~name:"layout codec roundtrip" ~count:100
@@ -182,24 +167,6 @@ let prop_layout_codec =
     (fun (name, addr) ->
       let l = { Stc_layout.Layout.name; addr } in
       Store.Layout.decode (Store.Layout.encode l) = l)
-
-let prop_packed_codec =
-  QCheck.Test.make ~name:"packed codec roundtrip" ~count:100
-    QCheck.(
-      triple
-        (array_of_size Gen.(int_range 0 200) (int_bound max_int))
-        small_nat (float_range 0.0 1.0))
-    (fun (words, total_instrs, frac) ->
-      let len = Array.length words in
-      let taken_branches = int_of_float (frac *. float_of_int len) in
-      let p = F.Packed.of_raw ~words ~len ~total_instrs ~taken_branches in
-      let p' = Store.Packed.decode (Store.Packed.encode p) in
-      F.Packed.length p' = len
-      && Array.for_all2 ( = )
-           (Array.sub (F.Packed.raw p') 0 len)
-           (Array.sub words 0 len)
-      && F.Packed.total_instrs p' = total_instrs
-      && F.Packed.taken_branches p' = taken_branches)
 
 let prop_result_codec =
   QCheck.Test.make ~name:"result codec roundtrip" ~count:100
@@ -236,15 +203,68 @@ let prop_result_codec =
 let prop_decode_rejects_junk =
   QCheck.Test.make ~name:"decoders never accept trailing junk" ~count:100
     QCheck.(
-      pair
+      triple printable_string
         (array_of_size Gen.(int_range 0 50) (int_bound 10_000))
         printable_string)
-    (fun (ids, junk) ->
+    (fun (name, addr, junk) ->
       QCheck.assume (junk <> "");
-      let bytes = Store.Trace.encode (Recorder.of_ids ids ~marks:[]) ^ junk in
-      match Store.Trace.decode bytes with
+      let bytes = Store.Layout.encode { Stc_layout.Layout.name; addr } ^ junk in
+      match Store.Layout.decode bytes with
       | _ -> false
       | exception Store.Corrupt _ -> true)
+
+(* Every payload decoder, as the store applies it to CRC-valid bytes. *)
+let decoders =
+  [
+    ("layout", fun s -> ignore (Store.Layout.decode s));
+    ("result", fun s -> ignore (Store.Result.decode s));
+    ("manifest", fun s -> ignore (Store.Chunked.decode_manifest s));
+    ("segment", fun s -> ignore (Store.Chunked.decode_segment ~base:0 s));
+  ]
+
+(* A damaged or foreign payload may decode to nonsense, but it must never
+   escape as anything but [Corrupt] — in particular not as an
+   [Out_of_memory] or a hang from an allocation sized by a garbage
+   count. *)
+let prop_decode_total =
+  QCheck.Test.make ~name:"decoders return or raise Corrupt on any bytes"
+    ~count:1000
+    QCheck.(string_of_size Gen.(int_range 0 63))
+    (fun bytes ->
+      List.for_all
+        (fun (_, decode) ->
+          match decode bytes with
+          | () -> true
+          | exception Store.Corrupt _ -> true)
+        decoders)
+
+let varint v =
+  let b = Buffer.create 8 in
+  let rec go v =
+    if v < 0x80 then Buffer.add_char b (Char.chr v)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
+      go (v lsr 7)
+    end
+  in
+  go v;
+  Buffer.contents b
+
+let test_huge_count_rejected () =
+  let huge = varint (1 lsl 40) in
+  List.iter
+    (fun (what, payload) ->
+      Alcotest.(check bool) (what ^ " payload is short") true
+        (String.length payload <= 16);
+      let decode = List.assoc what decoders in
+      match decode payload with
+      | () -> Alcotest.failf "%s: a 2^40 count decoded" what
+      | exception Store.Corrupt _ -> ())
+    [
+      ("layout", varint 0 ^ huge);
+      ("manifest", varint 0 ^ varint 0 ^ huge);
+      ("segment", huge);
+    ]
 
 (* ---------- end to end: cold vs warm ---------- *)
 
@@ -329,15 +349,16 @@ let suite =
     Alcotest.test_case "raw write/read/version" `Quick test_raw_roundtrip;
     Alcotest.test_case "corruption detected" `Quick test_corruption_detected;
     Alcotest.test_case "cached repairs damage" `Quick test_cached_repairs;
+    Alcotest.test_case "a 2^40 element count raises Corrupt" `Quick
+      test_huge_count_rejected;
     Alcotest.test_case "Run.with_store / of_ctx" `Quick test_with_store;
     Alcotest.test_case "cold vs warm identical" `Slow test_cold_warm_identical;
     Alcotest.test_case "corrupt store survives" `Slow test_corrupt_store_survives;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
-        prop_trace_codec;
         prop_layout_codec;
-        prop_packed_codec;
         prop_result_codec;
         prop_decode_rejects_junk;
+        prop_decode_total;
       ]

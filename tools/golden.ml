@@ -1,8 +1,7 @@
 (* Golden-regression harness: regenerate the quick-config experiment
    outputs and diff them against committed snapshots.
 
-     golden [--update] [--golden DIR] [--jobs N] [--seed N] [--stream]
-            [--layouts CSV]
+     golden [--update] [--golden DIR] [--jobs N] [--seed N] [--layouts CSV]
 
    One quick pipeline run (seeded, default 1) produces four artifacts:
 
@@ -22,11 +21,6 @@
    --update and commit the result. The directory check runs before the
    pipeline, so a misconfigured checkout fails in milliseconds.
 
-   --stream replays every fused per-layout Engine.Bank sweep through the
-   bounded segment pipeline instead of a materialized packed image.  The
-   snapshots are shared: streaming is required to be byte-identical, so
-   the same golden/ directory checks both paths.
-
    --layouts CSV restricts the per-CFA grid rows to the named layout
    algorithms (Stc_layout.Algo registry names; default all). The
    committed snapshots are generated with the default, so pass it only
@@ -41,7 +35,7 @@ module Obs = Stc_obs
 
 let usage () =
   prerr_endline
-    "usage: golden [--update] [--golden DIR] [--jobs N] [--seed N] [--stream] \
+    "usage: golden [--update] [--golden DIR] [--jobs N] [--seed N] \
      [--layouts CSV]";
   exit 2
 
@@ -50,15 +44,11 @@ let parse_args () =
   and dir = ref "golden"
   and jobs = ref 1
   and seed = ref 1
-  and streamed = ref false
   and layouts = ref None in
   let rec go = function
     | [] -> ()
     | "--update" :: rest ->
       update := true;
-      go rest
-    | "--stream" :: rest ->
-      streamed := true;
       go rest
     | "--golden" :: d :: rest ->
       dir := d;
@@ -84,7 +74,7 @@ let parse_args () =
     | _ -> usage ()
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!update, !dir, !jobs, !seed, !streamed, !layouts)
+  (!update, !dir, !jobs, !seed, !layouts)
 
 let write_lines path lines =
   let oc = open_out path in
@@ -129,7 +119,7 @@ let diff_lines ~name golden current =
   go 1 golden current
 
 let () =
-  let update, dir, jobs, seed, streamed, layouts = parse_args () in
+  let update, dir, jobs, seed, layouts = parse_args () in
   (* Refuse a comparison against nothing before paying for the run: an
      absent golden directory used to surface only as per-file read
      errors after the full pipeline had completed. *)
@@ -147,13 +137,13 @@ let () =
   in
   let pl = Pipeline.run ~ctx ~config:Pipeline.quick_config () in
   let sim_lines =
-    List.map E.row_to_string (E.simulate ~ctx ~streamed ?layouts pl)
+    List.map E.row_to_string (E.simulate ~ctx ?layouts pl)
   in
   let abl_lines =
-    List.map E.ablation_row_to_string (E.ablation ~ctx ~streamed pl)
+    List.map E.ablation_row_to_string (E.ablation ~ctx pl)
   in
   let ext_lines =
-    List.map E.ext_row_to_string (E.extended ~ctx ~streamed ?layouts pl)
+    List.map E.ext_row_to_string (E.extended ~ctx ?layouts pl)
   in
   let sim_path = Filename.concat dir "simulate_rows.txt" in
   let abl_path = Filename.concat dir "ablation_rows.txt" in
@@ -211,10 +201,9 @@ let () =
     | [] ->
       Printf.printf
         "golden: clean (%d simulate rows, %d ablation rows, %d extended \
-         rows, %d metric records, jobs=%d, seed=%d%s)\n"
+         rows, %d metric records, jobs=%d, seed=%d)\n"
         (List.length sim_lines) (List.length abl_lines)
         (List.length ext_lines) (List.length met_golden) jobs seed
-        (if streamed then ", streamed" else "")
     | msgs ->
       List.iter print_endline msgs;
       Printf.printf "golden: %d drift(s) against %s\n" (List.length msgs) dir;
