@@ -7,7 +7,7 @@
 
    Arguments:
      table1 | figure2 | reuse | table2 | figure3 | table3 | table4
-       | ablation | fetch | stream | fused | store | layout | micro
+       | ablation | fetch | fused | store | layout | micro
        — run a single part
      --quick                   — reduced kernel and scale factor
      --scale SF                — override the TPC-D scale factor
@@ -34,14 +34,6 @@
    BENCH_fetch.json. Both BENCH_*.json artifacts carry a "provenance"
    record (Meta.provenance: git commit, OCaml version, hostname, jobs)
    so perf numbers stay attributable.
-
-   The [stream] part is the segment-pipeline macrobench: it replays the
-   same cell slice through Engine.run_stream (a one-slot bank over
-   bounded off-heap segments,
-   Source -> Stream -> engine), serially and on a --jobs domain pool,
-   asserts the results identical to the materialized packed replay, and
-   appends a provenance-stamped record to BENCH_fetch.json (one JSON
-   object per line).
 
    The [fused] part is the fused-replay macrobench: it rebuilds the full
    Table 3/4 grid shape, compiles each layout's packed image once, and
@@ -313,8 +305,6 @@ module J = Stc_obs.Json
    with both engine paths, asserts the results are identical, and records
    the throughput in BENCH_fetch.json. With [--naive] only the pre-packed
    path runs (with metrics), so @equiv-smoke can diff the two exports. *)
-(* The representative Table 3/4 slice the [fetch] and [stream] parts
-   replay: two layouts x {ideal, direct 16KB, direct 16KB + TC}. *)
 let bench_slice pl =
   let prog = pl.Pipeline.program in
   let profile = pl.Pipeline.profile in
@@ -480,118 +470,6 @@ let fetch_bench () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "  [fetch] BENCH_fetch.json written\n\n%!"
-
-(* ---------- streamed-replay macrobench (segment pipeline) ---------- *)
-
-(* Replays the bench slice through the segment pipeline
-   (Source -> Stream -> Engine.run_stream): once serially as the
-   materialized packed baseline, once streamed serially, and once
-   streamed on a --jobs domain pool. All three result lists must be
-   identical — streaming is an evaluation strategy, not an
-   approximation. Appends one provenance-stamped JSON object to
-   BENCH_fetch.json (the [fetch] part writes the first line). *)
-let stream_bench () =
-  section "Streamed replay (segment pipeline vs packed)";
-  let pl = Lazy.force pipeline in
-  let trace = pl.Pipeline.test in
-  let blocks = Stc_trace.Recorder.length trace in
-  let prog, layouts, variants, cells = bench_slice pl in
-  let n_cells = List.length cells in
-  let total_blocks = n_cells * blocks in
-  let bps wall = float_of_int total_blocks /. wall in
-  Printf.printf "  %d cells (%d layouts x %d variants), %d blocks each\n%!"
-    n_cells (List.length layouts) (List.length variants) blocks;
-  (* single-domain materialized baseline: compile once per layout, then
-     replay every cell from the resident packed image *)
-  let (packed_rs : F.Engine.result list), packed_wall =
-    time (fun () ->
-        let compiled =
-          List.map
-            (fun (_n, layout) ->
-              ( layout,
-                F.Packed.compile prog layout
-                  (Stc_trace.Source.of_recorder trace) ))
-            layouts
-        in
-        List.map
-          (fun (layout, mk) ->
-            let icache, tc = mk () in
-            F.Engine.run_packed ?icache ?trace_cache:tc
-              (List.assq layout compiled))
-          cells)
-  in
-  let tables =
-    List.map (fun (_n, layout) -> (layout, F.Packed.tables prog layout)) layouts
-  in
-  let run_streamed_cell (layout, mk) =
-    let icache, tc = mk () in
-    let stream =
-      F.Stream.create (List.assq layout tables)
-        (Stc_trace.Source.of_recorder trace)
-    in
-    F.Engine.run_stream ?icache ?trace_cache:tc stream
-  in
-  let stream_rs, stream_wall =
-    time (fun () -> List.map run_streamed_cell cells)
-  in
-  let par_rs, par_wall =
-    time (fun () ->
-        Stc_par.Pool.with_pool ~domains:jobs ?trace:tracer @@ fun pool ->
-        Array.to_list
-          (Stc_par.Pool.map ~chunk:1 pool run_streamed_cell
-             (Array.of_list cells)))
-  in
-  Printf.printf "  packed (1 domain) : %6.2fs  %11.0f blocks/s\n%!" packed_wall
-    (bps packed_wall);
-  Printf.printf "  stream (1 domain) : %6.2fs  %11.0f blocks/s  (results %s)\n%!"
-    stream_wall (bps stream_wall)
-    (if stream_rs = packed_rs then "identical" else "DIFFER (BUG)");
-  Printf.printf
-    "  stream --jobs %-3d : %6.2fs  %11.0f blocks/s  (%.2fx packed, results \
-     %s)\n%!"
-    jobs par_wall (bps par_wall)
-    (bps par_wall /. bps packed_wall)
-    (if par_rs = packed_rs then "identical" else "DIFFER (BUG)");
-  if stream_rs <> packed_rs || par_rs <> packed_rs then begin
-    Printf.eprintf "bench stream: streamed results differ from packed\n";
-    exit 1
-  end;
-  let speedup = bps par_wall /. bps packed_wall in
-  if jobs >= 4 && speedup < 2.0 then begin
-    Printf.eprintf
-      "bench stream: pooled streamed replay only %.2fx the packed baseline \
-       on %d jobs (expected >= 2)\n"
-      speedup jobs;
-    exit 1
-  end
-  else if speedup < 2.0 then
-    Printf.eprintf
-      "bench stream: warning: %.2fx packed baseline on %d jobs (assertion \
-       needs --jobs >= 4)\n"
-      speedup jobs;
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644
-      "BENCH_fetch.json"
-  in
-  output_string oc
-    (J.to_string
-       (J.Obj
-          [
-            ("mode", J.Str "stream");
-            ("cells", J.Int n_cells);
-            ("blocks", J.Int total_blocks);
-            ("packed_blocks_per_sec", J.Float (bps packed_wall));
-            ("packed_wall_s", J.Float packed_wall);
-            ("stream_blocks_per_sec", J.Float (bps stream_wall));
-            ("stream_wall_s", J.Float stream_wall);
-            ("blocks_per_sec", J.Float (bps par_wall));
-            ("jobs", J.Int jobs);
-            ("wall_s", J.Float par_wall);
-            ("pool_speedup_vs_packed", J.Float speedup);
-            ("provenance", Meta.provenance ~jobs);
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  [stream] appended to BENCH_fetch.json\n\n%!"
 
 (* ---------- fused-replay macrobench (per-cell vs Engine.Bank) ---------- *)
 
@@ -998,7 +876,6 @@ let micro () =
 let () =
   run_tables ();
   if wants "fetch" && parts <> [] then fetch_bench ();
-  if wants "stream" && parts <> [] then stream_bench ();
   if wants "fused" && parts <> [] then fused_bench ();
   if wants "store" && parts <> [] then store_bench ();
   if wants "layout" && parts <> [] then layout_bench ();

@@ -125,10 +125,8 @@ val simulate :
     group's sweep), progress tick and registry shard, so rows and metric
     exports are byte-identical at any job count.
 
-    Every sweep replays a fully materialized {!Stc_fetch.Packed} image.
-    Streamed replay ({!Stc_fetch.Engine.Bank.run_stream}) is a library
-    API with identical results; a measured A/B (EXPERIMENTS.md) found it
-    better on no grid workload, so the grid does not offer it. With [ctx.metrics], the whole grid
+    Every sweep replays a fully materialized {!Stc_fetch.Packed} image,
+    the engine's one replay input. With [ctx.metrics], the whole grid
     runs inside a [simulate-grid] span (layout construction in child
     spans), the fetch engine accumulates its [engine.*] counters, and
     every simulation emits one [table34.cell] event carrying the row plus

@@ -147,22 +147,12 @@ let traced ctx name f =
    *contents* are not materialized — nothing observes them).
 
    Slots with prediction still join a cohort (prediction adds redirect
-   penalties per slot without touching the walk). Cohorts advance
-   round-robin over a shared sliding window, each bounded to at most
+   penalties per slot without touching the walk). Every cohort indexes
+   the caller's packed image directly — it is borrowed, never copied —
+   and cohorts advance round-robin, each bounded to at most
    [stride_words] past the laggard, so the words being re-walked stay
-   cache-resident even over a fully materialized image. The window keeps
-   at least [need] words of lookahead ahead of every cohort (except at
-   true end of stream), where [need] covers a cycle's maximal forward
-   reach: a sequential cycle completes at most [2 * line_bytes /
-   instr_bytes] blocks and peeks one past the last, a trace-cache
-   build/lookup walks at most [width] blocks, and the FDIP run-ahead
-   walk peeks [ftq_depth] blocks. Refills happen only between fetch
-   cycles, so no cycle ever sees a segment boundary — which is why a
-   streamed replay is bit-identical to a whole-trace replay at any
-   segment size. The window compacts below the minimum cohort position,
-   keeping streamed residency O(largest segment + lookahead), and the
-   first segment is borrowed, never copied: a materialized replay runs
-   zero-copy over the caller's image. *)
+   cache-resident. Cohorts share no state, so the interleaving affects
+   wall clock only, never results. *)
 module Bank = struct
   type spec = {
     config : Config.t;
@@ -198,8 +188,7 @@ module Bank = struct
     actives : slot array; (* members with an i-cache to probe *)
     preds : slot array; (* members with direction prediction *)
     fdips : slot array; (* members with a live FDIP frontend *)
-    need : int;
-    mutable pos : int; (* global block index *)
+    mutable pos : int; (* block index into the image *)
     mutable coff : int; (* intra-block offset *)
     mutable ccycles : int;
     mutable cseq : int;
@@ -212,12 +201,11 @@ module Bank = struct
 
   let default_stride_words = 16384
 
-  let run_segments ?ctx ?(stride_words = default_stride_words) ?resident_hwm
-      ~name specs pull =
+  let run_packed ?ctx ?(stride_words = default_stride_words) specs packed =
     let n = Array.length specs in
     if n = 0 then [||]
     else
-      traced ctx name @@ fun () ->
+      traced ctx "engine.fused_packed" @@ fun () ->
       let metrics = Option.bind ctx (fun c -> c.Stc_obs.Run.metrics) in
       let tracer = Option.bind ctx (fun c -> c.Stc_obs.Run.trace) in
       let fused_id =
@@ -297,21 +285,6 @@ module Bank = struct
                       (fun s -> Option.is_some s.s_fdip)
                       (Array.to_list members))
                in
-               let tc_width =
-                 match tc with Some tc -> Tracecache.width tc | None -> 0
-               in
-               let need =
-                 let base = max tc_width (2 * line / instr_bytes) + 2 in
-                 (* the deepest member FTQ bounds the cohort's forward
-                    reach within one cycle *)
-                 Array.fold_left
-                   (fun m s ->
-                     match s.sp.config.fdip with
-                     | Some fc when Option.is_some s.s_fdip ->
-                       max m (fc.Fdip.ftq_depth + 2)
-                     | _ -> m)
-                   base members
-               in
                {
                  line;
                  cmax_branches = mb;
@@ -320,7 +293,6 @@ module Bank = struct
                  actives;
                  preds;
                  fdips;
-                 need;
                  pos = 0;
                  coff = 0;
                  ccycles = 0;
@@ -333,67 +305,7 @@ module Bank = struct
                })
              !acc)
       in
-      let gneed = Array.fold_left (fun m h -> max m h.need) 0 cohorts in
-      (* shared sliding buffer: [dropped] counts words retired below
-         every cohort's position *)
-      let buf = ref [||] and avail = ref 0 in
-      let owned = ref false and eos = ref false in
-      let dropped = ref 0 in
-      let bview =
-        ref
-          (Packed.of_raw ~words:[||] ~len:0 ~total_instrs:0 ~taken_branches:0)
-      in
-      let sum_instrs = ref 0 and sum_taken = ref 0 in
-      let hwm = ref 0 in
-      let min_pos () =
-        Array.fold_left (fun m h -> if h.pos < m then h.pos else m) max_int
-          cohorts
-      in
-      let append p =
-        sum_instrs := !sum_instrs + Packed.total_instrs p;
-        sum_taken := !sum_taken + Packed.taken_branches p;
-        let plen = Packed.length p in
-        let keep = min_pos () - !dropped in
-        if (not !owned) && !avail - keep = 0 then begin
-          (* nothing live: borrow the segment's own array, no copy *)
-          dropped := !dropped + !avail;
-          buf := Packed.raw p;
-          avail := plen;
-          bview := p
-        end
-        else begin
-          (if not !owned then begin
-             let live = !avail - keep in
-             let nb = Array.make (max (live + plen) (gneed + plen)) 0 in
-             Array.blit !buf keep nb 0 live;
-             dropped := !dropped + keep;
-             buf := nb;
-             owned := true;
-             avail := live
-           end
-           else begin
-             if keep > 0 then begin
-               Array.blit !buf keep !buf 0 (!avail - keep);
-               dropped := !dropped + keep;
-               avail := !avail - keep
-             end;
-             if !avail + plen > Array.length !buf then begin
-               let nb = Array.make (max (!avail + plen) (gneed + plen)) 0 in
-               Array.blit !buf 0 nb 0 !avail;
-               buf := nb
-             end
-           end);
-          Array.blit (Packed.raw p) 0 !buf !avail plen;
-          avail := !avail + plen;
-          bview :=
-            Packed.of_raw ~words:!buf ~len:!avail ~total_instrs:0
-              ~taken_branches:0
-        end;
-        if Array.length !buf > !hwm then hwm := Array.length !buf
-      in
-      let refill () =
-        match pull () with None -> eos := true | Some p -> append p
-      in
+      let words = Packed.raw packed and len = Packed.length packed in
       let probe_slot s ~now a1 a2 =
         match s.s_fdip with
         | Some f ->
@@ -459,13 +371,10 @@ module Bank = struct
           | None -> ()
         done
       in
-      (* one fetch cycle for cohort [h] over the shared buffer — the
-         [run_naive] cycle body, on packed words *)
+      (* one fetch cycle for cohort [h] — the [run_naive] cycle body, on
+         packed words *)
       let step_cohort h =
-        let words = !buf in
-        let len = !avail in
-        let packed = !bview in
-        let start_idx = h.pos - !dropped and start_off = h.coff in
+        let start_idx = h.pos and start_off = h.coff in
         (* FDIP steps 1 and 3 bracket the cycle for every frontend-bearing
            member, exactly as in [run_naive]: land elapsed prefetches
            first, walk the FTQ from the cycle-start index last *)
@@ -510,7 +419,7 @@ module Bank = struct
             let w = Array.unsafe_get words i in
             if Packed.w_cond w then cond_block h w
           done;
-          h.pos <- !dropped + stop;
+          h.pos <- stop;
           h.coff <- info.Tracecache.end_pos.View.off;
           fdip_advance ()
         | Some _ | None ->
@@ -563,34 +472,27 @@ module Bank = struct
           | Some tc ->
             Tracecache.fill_packed tc packed ~idx:start_idx ~off:start_off
           | None -> ());
-          h.pos <- !dropped + !idx;
+          h.pos <- !idx;
           h.coff <- !off;
           fdip_advance ()
       in
-      let finished () =
-        Array.for_all (fun h -> h.pos - !dropped >= !avail) cohorts
+      let min_pos () =
+        Array.fold_left (fun m h -> if h.pos < m then h.pos else m) max_int
+          cohorts
       in
-      while (not !eos) || not (finished ()) do
-        let mn_lp = min_pos () - !dropped in
-        if (not !eos) && !avail - mn_lp < gneed then refill ()
-        else begin
-          (* one round: every cohort advances to at most [stride] words
-             past the laggard (or as far as its lookahead allows) *)
-          let limit = min !avail (mn_lp + stride) in
-          Array.iter
-            (fun h ->
-              let hneed = h.need in
-              let cont = ref true in
-              while !cont do
-                let lp = h.pos - !dropped in
-                if lp >= limit || ((not !eos) && !avail - lp < hneed) then
-                  cont := false
-                else step_cohort h
-              done)
-            cohorts
-        end
+      let mn = ref 0 in
+      while !mn < len do
+        (* one round: every cohort advances to at most [stride] words past
+           the laggard *)
+        let limit = min len (!mn + stride) in
+        Array.iter
+          (fun h ->
+            while h.pos < limit do
+              step_cohort h
+            done)
+          cohorts;
+        mn := min_pos ()
       done;
-      (match resident_hwm with Some r -> r := !hwm | None -> ());
       let out = Array.make n None in
       Array.iter
         (fun h ->
@@ -633,11 +535,8 @@ module Bank = struct
                     (match s.sp.trace_cache with
                     | None -> 0
                     | Some tc -> Tracecache.hits tc);
-                  taken_branches = !sum_taken;
-                  instrs_between_taken =
-                    (if !sum_taken = 0 then float_of_int !sum_instrs
-                     else
-                       float_of_int !sum_instrs /. float_of_int !sum_taken);
+                  taken_branches = Packed.taken_branches packed;
+                  instrs_between_taken = Packed.instrs_between_taken packed;
                   cond_branches = h.ccond;
                   mispredictions =
                     (match s.sp.prediction with
@@ -676,18 +575,6 @@ module Bank = struct
       | Some tr -> Stc_obs.Trace.complete ~arg:n tr fused_id ~start:t0
       | None -> ());
       results
-
-  let run_packed ?ctx ?stride_words specs packed =
-    let first = ref (Some packed) in
-    run_segments ?ctx ?stride_words ~name:"engine.fused_packed" specs
-      (fun () ->
-        let p = !first in
-        first := None;
-        p)
-
-  let run_stream ?ctx ?stride_words ?resident_hwm specs stream =
-    run_segments ?ctx ?stride_words ?resident_hwm
-      ~name:"engine.fused_stream" specs (fun () -> Stream.next stream)
 end
 
 (* The single-config entry points are one-slot banks. *)
@@ -695,12 +582,6 @@ let run_packed ?ctx ?config ?icache ?trace_cache ?prediction packed =
   (Bank.run_packed ?ctx
      [| Bank.spec ?config ?icache ?trace_cache ?prediction () |]
      packed).(0)
-
-let run_stream ?ctx ?config ?icache ?trace_cache ?prediction ?resident_hwm
-    stream =
-  (Bank.run_stream ?ctx ?resident_hwm
-     [| Bank.spec ?config ?icache ?trace_cache ?prediction () |]
-     stream).(0)
 
 let run ?ctx ?config ?icache ?trace_cache ?prediction view =
   run_packed ?ctx ?config ?icache ?trace_cache ?prediction (View.pack view)

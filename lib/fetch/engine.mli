@@ -118,7 +118,7 @@ val run :
     [run] compiles the view into its {!Packed} form and dispatches to
     {!run_packed}; to replay the same (layout × trace) several times,
     compile once with {!View.pack} and call {!run_packed} directly. Like
-    {!run_packed} and {!run_stream}, it is a one-slot {!Bank} call. *)
+    {!run_packed}, it is a one-slot {!Bank} call. *)
 
 val run_packed :
   ?ctx:Stc_obs.Run.ctx ->
@@ -136,31 +136,12 @@ val run_packed :
     [(Bank.run_packed [| Bank.spec ... () |] packed).(0)]: a one-slot
     {!Bank} sweep over the borrowed image, which is never copied. *)
 
-val run_stream :
-  ?ctx:Stc_obs.Run.ctx ->
-  ?config:config ->
-  ?icache:Stc_cachesim.Icache.t ->
-  ?trace_cache:Tracecache.t ->
-  ?prediction:prediction ->
-  ?resident_hwm:int ref ->
-  Stream.t ->
-  result
-(** The streaming path: consume packed segments incrementally through a
-    bounded sliding buffer that always holds enough lookahead for one
-    fetch cycle (two i-cache lines of sequential blocks, or one
-    trace-cache build, whichever is larger). Results, cache statistics
-    and metric exports are bit-identical to {!run_packed} over the
-    concatenated image at {e any} segment size (property-tested), while
-    peak residency stays O(largest segment + lookahead) — measured into
-    [resident_hwm] (high-water mark of the buffer, in words) when given.
-    This is a one-slot {!Bank.run_stream}. *)
-
 (** Fused replay, the one optimised engine core: a bank of independent
     per-config engine states (i-cache with optional victim buffer, trace
     cache, SEQ.3 cycle-grouping cursor) advanced block-by-block from a
     {e single} sweep over the trace, so N configurations over the same
     layout decode and pull each packed word once instead of N times.
-    {!run}, {!run_packed} and {!run_stream} are one-slot banks.
+    {!run} and {!run_packed} are one-slot banks.
 
     Per-slot results are bit-identical to running each spec alone in a
     one-slot bank, and to {!run_naive} — including every cache
@@ -172,7 +153,7 @@ val run_stream :
     trace caches of equal geometry evolve identical contents over the
     same walk. Slots sharing [(line_bytes, max_branches, trace-cache
     geometry)] therefore advance one shared walk (a {e cohort}); the
-    rest step independently over the same sliding window.
+    rest step independently over the same borrowed packed image.
 
     Pass fresh caches per spec: the bank owns
     their state for the duration of the run, and a non-lead member's
@@ -202,30 +183,16 @@ module Bank : sig
     spec array ->
     Packed.t ->
     result array
-  (** One sweep over a materialized packed image; [result.(i)] is
+  (** One sweep over a packed image; [result.(i)] is
       bit-identical to [run_packed] of [specs.(i)] alone. The image is
       borrowed, never copied. [stride_words] (default 16384) bounds how
       far any engine state may run ahead of the laggard, keeping the
       words being re-walked cache-resident; it affects wall clock only,
-      never results. An empty spec array returns [[||]] without pulling
-      the trace. With tracing on, each sweep emits one [engine.fused]
+      never results. An empty spec array returns [[||]] without reading
+      the image. With tracing on, each sweep emits one [engine.fused]
       slice whose argument is the number of fused cells. Of [?ctx],
       [metrics] accumulates every slot's result into the registry's
       [engine.*] counters in input order. *)
-
-  val run_stream :
-    ?ctx:Stc_obs.Run.ctx ->
-    ?stride_words:int ->
-    ?resident_hwm:int ref ->
-    spec array ->
-    Stream.t ->
-    result array
-  (** The same sweep over a segment stream through one shared bounded
-      sliding window (the stream is pulled once for the whole bank):
-      bit-identical to {!run_packed} over the concatenated image at any
-      segment size, with peak residency O(largest segment + lookahead)
-      measured into [resident_hwm] (words) when given — the window
-      compacts below the slowest engine state's position. *)
 end
 
 val run_naive :

@@ -9,7 +9,7 @@
     Each simulated fetch cycle drives {!begin_cycle}, then the cycle's
     {!demand} probes, then {!advance} — in that order, identically in
     every evaluation mode, so results are byte-identical across
-    one-slot, fused, streamed and naive replay at any [--jobs]. FDIP never alters
+    one-slot, fused and naive replay at any [--jobs]. FDIP never alters
     SEQ.3 cycle boundaries: it only changes i-cache contents and
     penalty charges. *)
 

@@ -49,8 +49,9 @@ type t = {
 
 (* Per-block-id static words (everything but the per-index taken bit),
    validated once and shared by every segment compiled under the same
-   (program, layout). *)
-type tables = { base : int array }
+   (program, layout); [n] is the block count ([base] is padded to at
+   least one word). *)
+type tables = { base : int array; n : int }
 
 let tables_of_arrays ~sizes ~branch_end ~cond_end ~addrs =
   let n = Array.length sizes in
@@ -73,7 +74,7 @@ let tables_of_arrays ~sizes ~branch_end ~cond_end ~addrs =
       lor (if branch_end.(b) then branch_bit else 0)
       lor (if cond_end.(b) then cond_bit else 0)
   done;
-  { base }
+  { base; n }
 
 let tables prog layout =
   let blocks = prog.Program.blocks in
@@ -88,14 +89,26 @@ let tables prog layout =
          blocks)
     ~addrs:(Array.init (Array.length blocks) (Layout.address layout))
 
+let bad_id ~idx id n =
+  invalid_arg
+    (Printf.sprintf
+       "Packed.compile: block id %d at trace index %d is outside [0, %d)" id
+       idx n)
+
 (* Compile one id segment into [words] starting at [pos]. The taken bit
    of index i depends on the block at index i+1; at the segment tail that
    block lives in the {e next} segment ([next_first]), which is how a
    per-segment compilation stays bit-identical to a whole-trace pass.
    [next_first = None] means true end of trace: the final index counts
-   as taken. Returns the segment's (instrs, taken) contribution. *)
+   as taken. Every id is checked against the program's block count: a
+   source may decode them from disk. Returns the segment's
+   (instrs, taken) contribution. *)
 let fill_segment tb ~words ~pos seg ~next_first =
-  let base = tb.base in
+  let base = tb.base and n = tb.n in
+  let word idx id =
+    if id < 0 || id >= n then bad_id ~idx id n;
+    Array.unsafe_get base id
+  in
   let len = Segment.length seg in
   let instr_bytes = Block.instr_bytes in
   let instrs = ref 0 and taken_n = ref 0 in
@@ -111,27 +124,22 @@ let fill_segment tb ~words ~pos seg ~next_first =
     end
     else Array.unsafe_set words (pos + i) w
   in
-  for i = 0 to len - 2 do
-    let w = Array.unsafe_get base (Segment.unsafe_get seg i) in
-    put i w (Array.unsafe_get base (Segment.unsafe_get seg (i + 1)))
-  done;
   if len > 0 then begin
-    let w = Array.unsafe_get base (Segment.unsafe_get seg (len - 1)) in
+    let w = ref (word pos (Segment.unsafe_get seg 0)) in
+    for i = 0 to len - 2 do
+      let next = word (pos + i + 1) (Segment.unsafe_get seg (i + 1)) in
+      put i !w next;
+      w := next
+    done;
     match next_first with
-    | Some nb -> put (len - 1) w (Array.unsafe_get base nb)
+    | Some nb -> put (len - 1) !w (word (pos + len) nb)
     | None ->
       (* end of trace: counts as taken *)
-      instrs := !instrs + ((w lsr size_shift) land max_size);
+      instrs := !instrs + ((!w lsr size_shift) land max_size);
       incr taken_n;
-      Array.unsafe_set words (pos + len - 1) (w lor taken_bit)
+      Array.unsafe_set words (pos + len - 1) (!w lor taken_bit)
   end;
   (!instrs, !taken_n)
-
-let of_segment tb seg ~next_first =
-  let len = Segment.length seg in
-  let words = Array.make (max len 1) 0 in
-  let instrs, taken = fill_segment tb ~words ~pos:0 seg ~next_first in
-  { words; len; total_instrs = instrs; taken_branches = taken }
 
 (* first block id of the first non-empty segment *)
 let rec first_of = function
@@ -165,13 +173,6 @@ let compile_tables tb source =
   { words; len; total_instrs = !instrs; taken_branches = !taken_n }
 
 let compile prog layout source = compile_tables (tables prog layout) source
-
-let of_raw ~words ~len ~total_instrs ~taken_branches =
-  if len < 0 || len > Array.length words then
-    invalid_arg "Packed.of_raw: len out of range";
-  if total_instrs < 0 || taken_branches < 0 || taken_branches > len then
-    invalid_arg "Packed.of_raw: totals out of range";
-  { words; len; total_instrs; taken_branches }
 
 let length t = t.len
 

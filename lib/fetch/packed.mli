@@ -1,13 +1,12 @@
 (** Packed trace images: one immutable int word per trace index.
 
-    A packed image is the engines' unit of consumption. It is produced
-    either for a whole trace ({!compile}, the materialized path) or per
-    {!Stc_trace.Segment} ({!of_segment}, the streamed path — see
-    {!Stream}); both compile from the same validated per-block
-    {!tables}, and a concatenation of per-segment images is bit-identical
-    to the whole-trace image because the one cross-index dependency (the
-    taken bit looks one block ahead) is supplied explicitly at segment
-    boundaries via [next_first].
+    A packed image is the engine's one replay input ({!Engine.Bank}
+    borrows it, never copies it). {!compile} drains a
+    {!Stc_trace.Source} segment by segment into one whole-trace image
+    from validated per-block {!tables}; the result does not depend on
+    the segment size, because the one cross-index dependency (the taken
+    bit looks one block ahead) is read from the next segment's first
+    block at every boundary.
 
     Word layout: bits 0–2 flags (taken / branch-end / conditional-end),
     bits 3–21 block size in instructions (up to 2^19-1), bits 22–62
@@ -39,31 +38,14 @@ val tables_of_arrays :
 
 val compile :
   Stc_cfg.Program.t -> Stc_layout.Layout.t -> Stc_trace.Source.t -> t
-(** Drain the source and compile the whole trace into one image — the
-    materialized path. Equivalent to [compile_tables (tables p l) src]. *)
+(** Drain the source and compile the whole trace into one image.
+    Equivalent to [compile_tables (tables p l) src]. Raises
+    [Invalid_argument], naming the trace index and the id, when a block
+    id is outside [\[0, n)] for the program's [n] blocks. *)
 
 val compile_tables : tables -> Stc_trace.Source.t -> t
 (** {!compile} with prebuilt tables (amortizes table validation when
     several traces compile under one layout). Drains the source. *)
-
-val of_segment : tables -> Stc_trace.Segment.t -> next_first:int option -> t
-(** Compile one segment into a standalone image whose stream totals
-    cover just that segment. [next_first] is the first block id of the
-    {e next} segment ([None] at true end of trace) and decides the final
-    index's taken bit — the invariant that makes streamed replay
-    bit-identical to materialized replay. *)
-
-val of_raw :
-  words:int array ->
-  len:int ->
-  total_instrs:int ->
-  taken_branches:int ->
-  t
-(** Rebuild a compiled image from its components — the artifact store's
-    deserialization path and the engine's sliding-buffer views. Only
-    basic range checks are performed; the words are trusted to be a
-    faithful copy of previously compiled words. The array is not
-    copied. *)
 
 val length : t -> int
 (** Number of blocks in the image. *)

@@ -198,8 +198,6 @@ let add_stats t ~lookups ~hits =
   Counter.add t.lookups lookups;
   Counter.add t.hits hits
 
-let width t = t.width
-
 let lookups t = Counter.value t.lookups
 
 let hits t = Counter.value t.hits

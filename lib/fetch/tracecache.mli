@@ -57,11 +57,6 @@ val add_stats : t -> lookups:int -> hits:int -> unit
     should eventually be accounted here ([lookups] calls, of which
     [hits] returned [Some]). *)
 
-val width : t -> int
-(** Configured trace width in instructions — bounds how far ahead of the
-    current index a fill can read, which is what sizes the streaming
-    engine's lookahead buffer. *)
-
 val geometry : t -> int * int * int
 (** [(entries, width, max_branches)]. Two empty trace caches with equal
     geometry evolve identical contents and hit sequences over the same

@@ -1,6 +1,6 @@
 (** A bounded, off-heap slice of a basic-block trace.
 
-    Segments are the unit of the streamed trace pipeline: a contiguous
+    Segments are the unit of {!Source}, the pull-based trace API: a contiguous
     run of block ids starting at global trace index {!base}, stored in a
     [Bigarray] so the payload lives outside the OCaml heap — a segment
     handed to a pool domain is shared by reference, never copied or

@@ -4,15 +4,15 @@
     Every producer — an in-memory {!Recorder}, the artifact store's
     chunked entries ([Stc_store.Chunked.source]), a synthetic test
     vector — is adapted to this interface, and every consumer (profile
-    building, packed compilation, the fetch engines) pulls segments
-    through it. A source is single-shot: once {!next_segment} returns
-    [None] it stays exhausted; producers that can replay (recorders,
-    the store) mint a fresh source per replay.
+    building, the naive engine's view, packed compilation) pulls
+    segments through it; the fetch engine replays the compiled packed
+    image, not segments. A source is single-shot: once {!next_segment}
+    returns [None] it stays exhausted; producers that can replay
+    (recorders, the store) mint a fresh source per replay.
 
-    Segment boundaries are invisible to consumers' {e results}: replay
-    through a source is bit-identical to replay over the materialized
-    trace at any segment size (property-tested), while peak residency
-    stays O(segments in flight × segment size). *)
+    Segment boundaries are invisible to consumers' {e results}:
+    compiling or profiling through a source gives the same result at
+    any segment size (property-tested). *)
 
 type t
 
@@ -50,7 +50,7 @@ val of_array : ?segment_blocks:int -> int array -> t
 
 val iter : t -> (int -> unit) -> unit
 (** Drain the source, feeding every block id in order to the consumer —
-    the streamed replacement for the old [Recorder.replay]. *)
+    the segment-wise replacement for the old [Recorder.replay]. *)
 
 val to_array : t -> int array
 (** Drain the source into a heap array (the explicit materialization

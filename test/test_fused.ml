@@ -3,10 +3,9 @@
 
    - property: over random traces and random config banks (mixed
      ideal/direct/2-way/victim/trace-cache variants, mixed engine
-     configs, occasional direction prediction), Bank.run_packed and
-     Bank.run_stream reproduce each spec's one-slot run_packed result,
-     cache counters and trace-cache statistics exactly — at every
-     stride and at segment sizes down to 1 block;
+     configs, occasional direction prediction), Bank.run_packed
+     reproduces each spec's one-slot run_packed result, cache counters
+     and trace-cache statistics exactly — at every stride;
    - metric exports: a bank run with a metrics registry publishes
      byte-identical engine.* counters to the one-slot runs sharing one
      registry;
@@ -125,7 +124,7 @@ let solo_reference seed k packed =
 
 let prop_fused_equals_solo =
   QCheck.Test.make
-    ~name:"fused bank == per-cell replay (packed and streamed)" ~count:60
+    ~name:"fused bank == per-cell replay (packed)" ~count:60
     QCheck.(triple (int_bound 10_000) (int_bound 300) (int_bound 1_000))
     (fun (seed, len, aux) ->
       let st = Random.State.make [| seed; aux |] in
@@ -135,29 +134,16 @@ let prop_fused_equals_solo =
       let k = 1 + Random.State.int st 7 in
       let packed = F.Packed.compile prog layout (Source.of_array trace) in
       let solo = solo_reference seed k packed in
-      let stride_words = [| 1; 7; 64; 16384 |].(Random.State.int st 4) in
-      let fspecs = mk_specs seed k () in
-      let frs = Bank.run_packed ~stride_words fspecs packed in
-      let fused = Array.mapi (fun i r -> snapshot fspecs.(i) r) frs in
-      if fused <> solo then
-        QCheck.Test.fail_reportf "fused packed differs (k=%d len=%d stride=%d)"
-          k len stride_words;
-      (* segment sizes stressing every boundary shape, including 1-block
-         segments and a 1-block final segment *)
       List.for_all
-        (fun segment_blocks ->
-          let sspecs = mk_specs seed k () in
-          let stream =
-            F.Stream.create (F.Packed.tables prog layout)
-              (Source.of_array ~segment_blocks trace)
-          in
-          let srs = Bank.run_stream ~stride_words sspecs stream in
-          let streamed = Array.mapi (fun i r -> snapshot sspecs.(i) r) srs in
-          if streamed <> solo then
-            QCheck.Test.fail_reportf "fused stream differs (k=%d len=%d seg=%d)"
-              k len segment_blocks
+        (fun stride_words ->
+          let fspecs = mk_specs seed k () in
+          let frs = Bank.run_packed ~stride_words fspecs packed in
+          let fused = Array.mapi (fun i r -> snapshot fspecs.(i) r) frs in
+          if fused <> solo then
+            QCheck.Test.fail_reportf
+              "fused packed differs (k=%d len=%d stride=%d)" k len stride_words
           else true)
-        [ 1; max 1 (len - 1); len + 1; 2 + Random.State.int st 97 ])
+        [ 1; 7; 64; 16384 ])
 
 let test_empty_bank_and_trace () =
   let prog, ids = random_program 7 5 in
@@ -172,31 +158,6 @@ let test_empty_bank_and_trace () =
   let rs = Bank.run_packed specs empty in
   Alcotest.(check bool) "empty trace fused == solo" true
     (Array.mapi (fun i r -> snapshot specs.(i) r) rs = solo)
-
-(* The streamed bank's resident window is bounded by the segment size
-   plus lookahead, not by the trace: the window compacts below the
-   slowest cohort. *)
-let test_fused_resident_bound () =
-  let prog, ids = random_program 21 48 in
-  let layout = L.Original.layout prog in
-  let st = Random.State.make [| 42 |] in
-  let len = 50_000 and segment_blocks = 64 in
-  let trace = random_trace st ids len in
-  let packed = F.Packed.compile prog layout (Source.of_array trace) in
-  let solo = solo_reference 21 5 packed in
-  let hwm = ref 0 in
-  let specs = mk_specs 21 5 () in
-  let stream =
-    F.Stream.create (F.Packed.tables prog layout)
-      (Source.of_array ~segment_blocks trace)
-  in
-  let rs = Bank.run_stream ~resident_hwm:hwm specs stream in
-  Alcotest.(check bool) "bounded run fused == solo" true
-    (Array.mapi (fun i r -> snapshot specs.(i) r) rs = solo);
-  Alcotest.(check bool)
-    (Printf.sprintf "resident %d words bounded by segments, not trace" !hwm)
-    true
-    (!hwm <= (4 * segment_blocks) + 64 && !hwm < len / 10)
 
 (* A bank run with metrics publishes the same engine.* counters, in the
    same order, as the per-cell runs sharing one registry. *)
@@ -321,8 +282,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fused_equals_solo;
     Alcotest.test_case "empty bank and empty trace" `Quick
       test_empty_bank_and_trace;
-    Alcotest.test_case "fused streamed residency is segment-bounded" `Quick
-      test_fused_resident_bound;
     Alcotest.test_case "fused metrics export identical" `Quick
       test_fused_metrics_identical;
     Alcotest.test_case "store-warm subset fuses the rest" `Slow

@@ -1,16 +1,17 @@
-(* The segment-streamed trace pipeline: streamed replay must be an
-   evaluation strategy, never an approximation.
+(* The segmented trace pipeline: segment boundaries must be invisible
+   to every result.
 
    - property: over random programs, random traces and random segment
      sizes (1-block segments, a 1-block final segment, segment = trace
-     length, empty trace), Engine.run_stream reproduces run_packed's
-     result record and cache counters exactly;
-   - memory boundedness: the streamed engine's resident high-water mark
-     is a function of the segment size, not the trace length;
+     length, empty segments in between, empty trace), Packed.compile
+     over the segmented source yields the same words and totals as a
+     one-segment compile — the boundary taken bit is read from the next
+     segment's first block;
+   - Packed.compile rejects block ids outside the program;
    - chunked store: save/load round-trips ids and marks (marks on
      segment boundaries included), a damaged segment is detected and
-     repaired, and a warm replay straight off the chunked entry
-     reproduces identical engine rows. *)
+     repaired, and a warm replay compiled straight off the chunked
+     entry reproduces identical engine rows. *)
 
 module F = Stc_fetch
 module L = Stc_layout
@@ -69,85 +70,80 @@ let run_materialized prog layout trace =
   let r = F.Engine.run_packed ~icache ~trace_cache:tc packed in
   (r, Stc_cachesim.Icache.stats icache, F.Tracecache.lookups tc, F.Tracecache.hits tc)
 
-let run_streamed ?resident_hwm prog layout trace ~segment_blocks =
-  let icache, tc = mk_state () in
-  let tables = F.Packed.tables prog layout in
-  let stream =
-    F.Stream.create tables (Source.of_array ~segment_blocks trace)
+(* ---------- segment-invariant compilation ---------- *)
+
+(* Everything a compiled image exposes: its words and its totals. *)
+let image p =
+  ( Array.sub (F.Packed.raw p) 0 (F.Packed.length p),
+    F.Packed.length p,
+    F.Packed.total_instrs p,
+    F.Packed.taken_branches p )
+
+let one_segment trace = Source.of_segments [ Segment.of_array trace ]
+
+(* [trace] cut every [k] blocks with an empty segment after each cut *)
+let with_empty_segments k trace =
+  let len = Array.length trace in
+  let rec go pos =
+    if pos >= len then [ Segment.of_array ~base:len [||] ]
+    else
+      let n = min k (len - pos) in
+      Segment.of_array ~base:pos (Array.sub trace pos n)
+      :: Segment.of_array ~base:(pos + n) [||]
+      :: go (pos + n)
   in
-  let r = F.Engine.run_stream ~icache ~trace_cache:tc ?resident_hwm stream in
-  (r, Stc_cachesim.Icache.stats icache, F.Tracecache.lookups tc, F.Tracecache.hits tc)
+  Source.of_segments (go 0)
 
-(* ---------- streamed == materialized ---------- *)
-
-let check_equal ~what (rm, im, lm, hm) (rs, is_, ls, hs) =
-  if rm <> rs then QCheck.Test.fail_reportf "%s: engine result differs" what;
-  if im <> is_ then QCheck.Test.fail_reportf "%s: icache counters differ" what;
-  if (lm, hm) <> (ls, hs) then
-    QCheck.Test.fail_reportf "%s: trace-cache counters differ" what;
-  true
-
-let prop_streamed_equals_materialized =
-  QCheck.Test.make ~name:"streamed replay == materialized replay" ~count:80
+let prop_compile_segment_invariant =
+  QCheck.Test.make ~name:"compile is segment-invariant" ~count:80
     QCheck.(triple (int_bound 10_000) (int_bound 400) (int_bound 1_000))
     (fun (seed, len, seg_seed) ->
       let st = Random.State.make [| seed; seg_seed |] in
       let prog, ids = random_program seed (2 + Random.State.int st 40) in
-      let trace = random_trace st ids len in
       let layout = L.Original.layout prog in
-      let reference = run_materialized prog layout trace in
-      (* the interesting segmentations: single-block segments, a
-         one-block final segment, one segment spanning everything, and a
-         couple of random interior sizes *)
-      let sizes =
-        [ 1; max 1 (len - 1); max 1 len; len + 1; 2 + Random.State.int st 97 ]
+      let check trace =
+        let reference =
+          image (F.Packed.compile prog layout (one_segment trace))
+        in
+        let len = Array.length trace in
+        (* the interesting segmentations: single-block segments, a
+           one-block final segment, one segment spanning everything, and
+           a couple of random interior sizes *)
+        let sizes =
+          [ 1; max 1 (len - 1); max 1 len; len + 1; 2 + Random.State.int st 97 ]
+        in
+        let sources =
+          with_empty_segments (1 + Random.State.int st 9) trace
+          :: List.map
+               (fun segment_blocks -> Source.of_array ~segment_blocks trace)
+               sizes
+        in
+        List.iteri
+          (fun i source ->
+            if image (F.Packed.compile prog layout source) <> reference then
+              QCheck.Test.fail_reportf "len=%d segmentation %d: image differs"
+                len i)
+          sources
       in
-      List.for_all
-        (fun segment_blocks ->
-          check_equal
-            ~what:(Printf.sprintf "len=%d seg=%d" len segment_blocks)
-            reference
-            (run_streamed prog layout trace ~segment_blocks))
-        sizes)
+      check (random_trace st ids len);
+      check [||];
+      true)
 
-let test_empty_trace () =
+let test_compile_rejects_bad_ids () =
   let prog, _ids = random_program 7 5 in
   let layout = L.Original.layout prog in
-  let (rm, _, _, _) = run_materialized prog layout [||] in
-  let (rs, _, _, _) = run_streamed prog layout [||] ~segment_blocks:4 in
-  Alcotest.(check bool) "empty trace streams" true (rm = rs);
-  Alcotest.(check int) "no instrs" 0 rs.F.Engine.instrs
-
-(* ---------- memory boundedness ---------- *)
-
-let test_resident_bound () =
-  let prog, ids = random_program 21 48 in
-  let layout = L.Original.layout prog in
-  let st = Random.State.make [| 42 |] in
-  let len = 50_000 and segment_blocks = 64 in
-  let trace = random_trace st ids len in
-  let hwm = ref 0 in
-  let streamed =
-    run_streamed ~resident_hwm:hwm prog layout trace ~segment_blocks
-  in
-  ignore (check_equal ~what:"hwm run" (run_materialized prog layout trace) streamed);
-  (* the buffer never holds more than the live lookahead window plus two
-     segments' worth of blocks — in particular it is a small constant
-     multiple of the segment size, not of the trace *)
-  Alcotest.(check bool)
-    (Printf.sprintf "resident %d words bounded by segments, not trace" !hwm)
-    true
-    (!hwm <= (4 * segment_blocks) + 64 && !hwm < len / 10);
-  (* whole-image replay borrows the caller's packed image: same bound
-     machinery reports the full trace as resident *)
-  let full = ref 0 in
-  let icache, tc = mk_state () in
-  let stream =
-    F.Stream.of_packed (F.Packed.compile prog layout (Source.of_array trace))
-  in
-  ignore
-    (F.Engine.run_stream ~icache ~trace_cache:tc ~resident_hwm:full stream);
-  Alcotest.(check int) "single borrowed segment is the whole trace" len !full
+  let n = Array.length prog.Stc_cfg.Program.blocks in
+  List.iter
+    (fun id ->
+      match F.Packed.compile prog layout (Source.of_array [| id |]) with
+      | _ -> Alcotest.failf "block id %d of a %d-block program compiled" id n
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names the index and the id" msg)
+          true
+          (Astring_like.contains msg
+             (Printf.sprintf "block id %d at trace index 0" id)))
+    [ n; -1 ]
 
 (* ---------- chunked store ---------- *)
 
@@ -236,9 +232,9 @@ let test_chunked_damage_and_repair () =
   | None -> Alcotest.fail "entry not healed by re-save"
   | Some r2 -> Alcotest.(check bool) "healed" true (ids_of r2 = ids_of rec_)
 
-(* A warm replay served from the chunked entry — Source straight off the
-   store, one segment resident at a time — must produce the same engine
-   rows as replaying the recorder it was saved from. *)
+(* A warm replay compiled from the chunked entry — Source straight off
+   the store, 256-block segments — must produce the same engine rows as
+   replaying the trace it was saved from. *)
 let test_chunked_warm_replay_identical () =
   with_dir @@ fun dir ->
   let st = Store.open_ dir in
@@ -255,20 +251,24 @@ let test_chunked_warm_replay_identical () =
   | Some (m, source) ->
     Alcotest.(check int) "manifest blocks" 5_000 m.Store.Chunked.m_total_blocks;
     let icache, tc = mk_state () in
-    let stream = F.Stream.create (F.Packed.tables prog layout) source in
-    let r = F.Engine.run_stream ~icache ~trace_cache:tc stream in
+    let r =
+      F.Engine.run_packed ~icache ~trace_cache:tc
+        (F.Packed.compile prog layout source)
+    in
     let warm =
       (r, Stc_cachesim.Icache.stats icache, F.Tracecache.lookups tc,
        F.Tracecache.hits tc)
     in
-    ignore (check_equal ~what:"warm chunked replay" cold warm)
+    let rc, ic, lc, hc = cold and rw, iw, lw, hw = warm in
+    Alcotest.(check bool) "engine result" true (rc = rw);
+    Alcotest.(check bool) "icache counters" true (ic = iw);
+    Alcotest.(check (pair int int)) "trace-cache counters" (lc, hc) (lw, hw)
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_streamed_equals_materialized;
-    Alcotest.test_case "empty trace streams" `Quick test_empty_trace;
-    Alcotest.test_case "streamed residency is segment-bounded" `Quick
-      test_resident_bound;
+    QCheck_alcotest.to_alcotest prop_compile_segment_invariant;
+    Alcotest.test_case "compile rejects out-of-range block ids" `Quick
+      test_compile_rejects_bad_ids;
     Alcotest.test_case "chunked store round-trips ids and marks" `Quick
       test_chunked_roundtrip;
     Alcotest.test_case "chunked damage is detected and repaired" `Quick

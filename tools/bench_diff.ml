@@ -4,22 +4,25 @@
 
    Both files are JSONL: one provenance-stamped record per bench part
    (bench/main.ml appends one line per part, keyed by its "mode" field
-   — "packed", "naive", "stream", "fused", ...). For every mode present
-   in the baseline, every throughput field (any numeric field whose
-   name ends in "blocks_per_sec" — higher is better) must not fall more
-   than PCT percent (default 25) below the baseline value. Wall-clock
-   and speedup fields are ignored: they restate the same measurement
-   and would double-report every regression.
+   — "packed", "naive", "fused", ...). For every mode present in the
+   baseline, every throughput field (any numeric field whose name ends
+   in "blocks_per_sec" — higher is better) must not fall more than PCT
+   percent (default 25) below the baseline value. Wall-clock and
+   speedup fields are ignored: they restate the same measurement and
+   would double-report every regression.
 
-   A mode present in the baseline but absent from the current run is a
-   failure (a silently dropped benchmark must not pass the gate); a new
-   mode only in the current run is reported and allowed, so baselines
-   can trail new bench parts. Provenance differences (host, commit,
-   jobs) are printed for context, never compared — the tolerance is
-   what absorbs machine variance.
+   Rates are only comparable over the same workload, so a mode whose
+   "cells", "blocks" or provenance "jobs" differ between the two files
+   is refused outright (with jobs > 1 "blocks_per_sec" is a pooled
+   rate). A mode present in the baseline but absent from the current
+   run is a failure (a silently dropped benchmark must not pass the
+   gate); a new mode only in the current run is reported and allowed,
+   so baselines can trail new bench parts. Host and commit are printed
+   for context, never compared — the tolerance is what absorbs machine
+   variance.
 
    Exit codes: 0 within tolerance, 1 regression or dropped mode,
-   2 usage/parse error. *)
+   2 usage/parse error or workload mismatch. *)
 
 module J = Stc_obs.Json
 
@@ -92,6 +95,18 @@ let throughput_fields record =
       fields
   | _ -> []
 
+(* The fields that define what a mode measured, as (name, value) pairs;
+   an absent field reads as [Null] so one-sided fields also mismatch. *)
+let workload record =
+  let get k r = Option.value (J.member k r) ~default:J.Null in
+  [
+    ("cells", get "cells" record);
+    ("blocks", get "blocks" record);
+    ( "provenance.jobs",
+      get "jobs" (Option.value (J.member "provenance" record) ~default:J.Null)
+    );
+  ]
+
 let provenance_line path record =
   match J.member "provenance" record with
   | Some (J.Obj p) ->
@@ -114,6 +129,30 @@ let () =
     provenance_line baseline_path b;
     provenance_line current_path c
   | _ -> ());
+  let mismatches =
+    List.concat_map
+      (fun (mode, base_record) ->
+        match List.assoc_opt mode current with
+        | None -> []
+        | Some cur_record ->
+          List.filter_map
+            (fun ((field, b), (_, c)) ->
+              if b = c then None
+              else
+                Some
+                  (Printf.sprintf "mode %S: %s differs (baseline %s, current %s)"
+                     mode field (J.to_string b) (J.to_string c)))
+            (List.combine (workload base_record) (workload cur_record)))
+      baseline
+  in
+  if mismatches <> [] then begin
+    List.iter prerr_endline mismatches;
+    Printf.eprintf
+      "bench_diff: refusing to compare different workloads; re-record %s \
+       with the current run's command\n"
+      baseline_path;
+    exit 2
+  end;
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let compared = ref 0 in
