@@ -7,8 +7,8 @@
 
    Arguments:
      table1 | figure2 | reuse | table2 | figure3 | table3 | table4
-       | ablation | fetch | fused | store | layout | micro
-       — run a single part
+       | ablation | extensions | fetch | fused | store | layout | micro
+       — run a single part; any other name exits 2
      --quick                   — reduced kernel and scale factor
      --scale SF                — override the TPC-D scale factor
      --seed N                  — master seed (Pipeline.seeded derivation)
@@ -52,15 +52,24 @@
    cold.
 
    The [layout] part times plan construction for every algorithm in the
-   Stc_layout.Algo registry (cold and warm, at the 16KB/4KB check
-   geometry) and writes one provenance-stamped record per algorithm to
-   BENCH_layout.json. *)
+   Stc_layout.Algo registry and writes one provenance-stamped record per
+   algorithm to BENCH_layout.json: "cold" is the first point (16KB/4KB
+   check geometry) of a planner staged at the profile, "warm" the second
+   (16KB/8KB) point of the same planner, which reuses whatever the
+   algorithm builds once per profile (the ExtTSP and Codestitcher
+   chains). *)
 
 module E = Stc_core.Experiments
 module Pipeline = Stc_core.Pipeline
 module L = Stc_layout
 module F = Stc_fetch
 module P = Stc_profile
+
+let valid_parts =
+  [
+    "table1"; "figure2"; "reuse"; "table2"; "figure3"; "table3"; "table4";
+    "ablation"; "extensions"; "fetch"; "fused"; "store"; "layout"; "micro";
+  ]
 
 let parse_args () =
   let quick = ref false
@@ -103,6 +112,11 @@ let parse_args () =
       store := Some v;
       go rest
     | part :: rest ->
+      if not (List.mem part valid_parts) then begin
+        Printf.eprintf "bench: unknown part %S (valid parts: %s)\n" part
+          (String.concat ", " valid_parts);
+        exit 2
+      end;
       parts := part :: !parts;
       go rest
   in
@@ -736,30 +750,30 @@ let store_bench () =
 
 (* ---------- layout-algorithm plan construction ---------- *)
 
-(* Times Algo.plan for every registered algorithm at the check-bundle
-   geometry (16KB cache / 4KB CFA, grid thresholds) and writes one
-   provenance-stamped record per algorithm to BENCH_layout.json. The
-   cold time is what the simulation grid's serial prefix actually pays;
-   a warm repeat is reported too so memoizing algorithms (codestitcher,
-   exttsp cache their chains per profile) are visible as such. *)
+(* Times Algo.plan for every registered algorithm, staged at the profile
+   as the simulation grid stages it, and writes one provenance-stamped
+   record per algorithm to BENCH_layout.json. The cold time is the
+   planner's first point (16KB cache / 4KB CFA, grid thresholds), which
+   pays for any per-profile work; the warm time is its second point
+   (8KB CFA), which shares that work, as every later grid point does. *)
 let layout_bench () =
   section "Layout algorithms (plan construction)";
   let pl = Lazy.force pipeline in
   let profile = pl.Pipeline.profile in
-  let params =
+  let params cfa_kb =
     L.Algo.params ~exec_threshold:50 ~branch_threshold:0.3
-      ~cache_bytes:(16 * 1024) ~cfa_bytes:(4 * 1024) ()
+      ~cache_bytes:(16 * 1024) ~cfa_bytes:(cfa_kb * 1024) ()
   in
   let rows =
     List.map
       (fun algo ->
+        let planner = L.Algo.plan algo profile in
         let t0 = Unix.gettimeofday () in
-        let plan = L.Algo.plan algo profile params in
+        let plan = planner (params 4) in
         let cold = Unix.gettimeofday () -. t0 in
         let t1 = Unix.gettimeofday () in
-        let plan' = L.Algo.plan algo profile params in
+        ignore (planner (params 8));
         let warm = Unix.gettimeofday () -. t1 in
-        ignore plan';
         let seqs = List.length plan.L.Mapping.cfa_seqs
         and others = List.length plan.L.Mapping.other_seqs in
         Printf.printf

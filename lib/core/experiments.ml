@@ -622,9 +622,14 @@ let layout_cache ~ctx (pl : Pipeline.t) =
       in
       Stc_store.Layout.cached (Some st) ~key f
 
-let build_layout ~ctx ~cached_layout profile algo params =
-  Run.span ctx ("layout-" ^ algo.L.Algo.slug) (fun () ->
-      cached_layout ~algo ~params (fun () -> L.Algo.layout algo profile params))
+(* One staged planner per algorithm and grid: ExtTSP and Codestitcher
+   build their chains on the first layout the store does not hold, inside
+   that point's span, and share them with the grid's later points. *)
+let build_layout ~ctx ~cached_layout profile algo =
+  let layout = L.Algo.layout algo profile in
+  fun params ->
+    Run.span ctx ("layout-" ^ algo.L.Algo.slug) (fun () ->
+        cached_layout ~algo ~params (fun () -> layout params))
 
 (* The baselines ignore thresholds and geometry; a fixed params record
    keeps their store keys stable across grid configurations. *)
@@ -640,6 +645,7 @@ let plan_simulate ~ctx ?layouts config (pl : Pipeline.t) =
   let build = build_layout ~ctx ~cached_layout profile in
   let orig = build (algo_exn "orig") baseline_params in
   let ph = build (algo_exn "P&H") baseline_params in
+  let builders = List.map (fun a -> (a, build a)) algos in
   let cells = ref [] in
   let add layout variant ~cache_kb ~cfa_kb =
     cells :=
@@ -673,7 +679,7 @@ let plan_simulate ~ctx ?layouts config (pl : Pipeline.t) =
         (fun cfa ->
           let cfa_bytes = cfa * 1024 in
           let params = stc_params config ~cache_bytes ~cfa_bytes in
-          let built = List.map (fun a -> (a, build a params)) algos in
+          let built = List.map (fun (a, b) -> (a, b params)) builders in
           let cfa_kb = Some cfa in
           List.iter
             (fun (_, layout) ->
@@ -714,6 +720,7 @@ let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
   let profile = pl.Pipeline.profile in
   let build = build_layout ~ctx ~cached_layout profile in
   let orig = build (algo_exn "orig") baseline_params in
+  let builders = List.map build algos in
   let sizes =
     Array.map Stc_cfg.Block.byte_size
       pl.Pipeline.program.Stc_cfg.Program.blocks
@@ -738,7 +745,7 @@ let plan_extended ~ctx ?layouts config (pl : Pipeline.t) =
         in
         let built =
           (orig, None)
-          :: List.map (fun a -> (build a params, Some cfa)) algos
+          :: List.map (fun b -> (b params, Some cfa)) builders
         in
         List.iter
           (fun (layout, cfa_kb) ->
@@ -1059,6 +1066,7 @@ let ablation ?(ctx = Run.default) ?(cache_kb = 32)
   let cached_layout = layout_cache ~ctx pl in
   let ops_algo = algo_exn "ops" in
   (* serial prefix: one ops layout per sweep point *)
+  let build_ops = build_layout ~ctx ~cached_layout profile ops_algo in
   let metas = ref [] and cells = ref [] in
   List.iter
     (fun a_exec ->
@@ -1077,9 +1085,7 @@ let ablation ?(ctx = Run.default) ?(cache_kb = 32)
                 stc_params config ~cache_bytes:(cache_kb * 1024)
                   ~cfa_bytes:(a_cfa_kb * 1024)
               in
-              let ops =
-                build_layout ~ctx ~cached_layout profile ops_algo params
-              in
+              let ops = build_ops params in
               metas := (a_exec, a_branch, a_cfa_kb) :: !metas;
               cells :=
                 {

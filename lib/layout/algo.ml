@@ -17,52 +17,28 @@ type t = {
   plan : Profile.t -> params -> Mapping.plan;
 }
 
-(* Registration order is presentation order: the grid, the check report
-   and the CLI listing all enumerate [all ()] as-is. *)
-let registry : t list ref = ref []
-
-let all () = !registry
-
-let names () = List.map (fun a -> a.name) !registry
-
-let register algo =
-  let clash b =
-    String.lowercase_ascii b.name = String.lowercase_ascii algo.name
-    || String.lowercase_ascii b.slug = String.lowercase_ascii algo.slug
-  in
-  if List.exists clash !registry then
-    invalid_arg ("Algo.register: duplicate algorithm " ^ algo.name);
-  registry := !registry @ [ algo ]
-
-let find name =
-  let want = String.lowercase_ascii (String.trim name) in
-  let answers a =
-    List.exists
-      (fun n -> String.lowercase_ascii n = want)
-      (a.name :: a.slug :: a.aliases)
-  in
-  match List.find_opt answers !registry with
-  | Some a -> Ok a
-  | None ->
-    Error
-      (Printf.sprintf "unknown layout algorithm %S (valid: %s)" name
-         (String.concat ", " (names ())))
-
 let effective_cfa_bytes algo (p : params) =
   if algo.uses_cfa then p.cfa_bytes else 0
 
-let plan algo profile p = algo.plan profile p
+(* Both stage at the profile: applied to one, they run whatever the
+   algorithm's [plan] does per profile once, and only the per-params part
+   on each later call. *)
+let plan algo profile = algo.plan profile
 
-let layout algo profile (p : params) =
-  Mapping.map_plan (Profile.program profile) ~name:algo.name
-    ~cache_bytes:p.cache_bytes
-    ~cfa_bytes:(effective_cfa_bytes algo p)
-    (algo.plan profile p)
+let layout algo profile =
+  let plan = algo.plan profile in
+  let prog = Profile.program profile in
+  fun (p : params) ->
+    Mapping.map_plan prog ~name:algo.name ~cache_bytes:p.cache_bytes
+      ~cfa_bytes:(effective_cfa_bytes algo p)
+      (plan p)
 
 (* ---------- built-in algorithms ---------- *)
 
-let () =
-  register
+(* Registration order is presentation order: the grid, the check report
+   and the CLI listing all enumerate [all ()] as-is. *)
+let registry =
+  [
     {
       name = "orig";
       slug = "original";
@@ -73,7 +49,6 @@ let () =
       uses_cfa = false;
       plan = (fun profile _ -> Original.plan (Profile.program profile));
     };
-  register
     {
       name = "P&H";
       slug = "pettis-hansen";
@@ -85,7 +60,6 @@ let () =
       uses_cfa = false;
       plan = (fun profile _ -> Pettis_hansen.plan profile);
     };
-  register
     {
       name = "Torr";
       slug = "torrellas";
@@ -99,7 +73,6 @@ let () =
         (fun profile p ->
           Torrellas.plan profile ~seq_params:p.seq ~cfa_bytes:p.cfa_bytes);
     };
-  register
     {
       name = "auto";
       slug = "stc-auto";
@@ -113,7 +86,6 @@ let () =
         (fun profile p ->
           Stc.plan profile ~params:p ~seeds:(Stc.auto_seeds profile));
     };
-  register
     {
       name = "ops";
       slug = "stc-ops";
@@ -127,7 +99,6 @@ let () =
         (fun profile p ->
           Stc.plan profile ~params:p ~seeds:(Stc.ops_seeds profile));
     };
-  register
     {
       name = "codestitcher";
       slug = "codestitcher";
@@ -138,9 +109,11 @@ let () =
          64-byte lines, affine chains packed within 4 KB pages, hottest \
          chains pinned in the Conflict-Free Area.";
       uses_cfa = true;
-      plan = (fun profile p -> Codestitcher.plan profile ~cfa_bytes:p.cfa_bytes);
+      plan =
+        (fun profile ->
+          let plan = Codestitcher.plan profile in
+          fun p -> plan ~cfa_bytes:p.cfa_bytes);
     };
-  register
     {
       name = "exttsp";
       slug = "exttsp";
@@ -151,5 +124,27 @@ let () =
          maximized by best-gain concatenations, hottest chains pinned in \
          the Conflict-Free Area.";
       uses_cfa = true;
-      plan = (fun profile p -> Exttsp.plan profile ~cfa_bytes:p.cfa_bytes);
-    }
+      plan =
+        (fun profile ->
+          let plan = Exttsp.plan profile in
+          fun p -> plan ~cfa_bytes:p.cfa_bytes);
+    };
+  ]
+
+let all () = registry
+
+let names () = List.map (fun a -> a.name) registry
+
+let find name =
+  let want = String.lowercase_ascii (String.trim name) in
+  let answers a =
+    List.exists
+      (fun n -> String.lowercase_ascii n = want)
+      (a.name :: a.slug :: a.aliases)
+  in
+  match List.find_opt answers registry with
+  | Some a -> Ok a
+  | None ->
+    Error
+      (Printf.sprintf "unknown layout algorithm %S (valid: %s)" name
+         (String.concat ", " (names ())))

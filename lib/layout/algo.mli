@@ -42,14 +42,17 @@ type t = {
           algorithms are mapped with [cfa_bytes = 0] regardless of the
           params and appear in the grid as fixed baselines. *)
   plan : Stc_profile.Profile.t -> params -> Mapping.plan;
+      (** Staged at the profile: [plan profile] may do the algorithm's
+          profile-only work (ExtTSP and Codestitcher build their chains
+          there, lazily) and share it with every params it is applied
+          to. *)
 }
 
-val register : t -> unit
-(** Append to the registry. Raises [Invalid_argument] if the name or
-    slug (case-insensitively) is already taken. *)
-
 val all : unit -> t list
-(** Every registered algorithm, in registration order. *)
+(** Every registered algorithm, in registration order. The registry is
+    an immutable list in [algo.ml]: adding an algorithm means adding its
+    entry there, with a name and slug no other entry has
+    (case-insensitively). *)
 
 val names : unit -> string list
 
@@ -61,7 +64,11 @@ val effective_cfa_bytes : t -> params -> int
 (** [params.cfa_bytes], or 0 when the algorithm does not use the CFA. *)
 
 val plan : t -> Stc_profile.Profile.t -> params -> Mapping.plan
+(** [plan algo profile] keeps the algorithm's staging: apply it to a
+    profile once and to many params. *)
 
 val layout : t -> Stc_profile.Profile.t -> params -> Layout.t
 (** {!plan} → {!Mapping.map_plan} with {!effective_cfa_bytes} and the
-    algorithm's display name. *)
+    algorithm's display name, staged like {!plan}. A staged planner
+    builds its shared state on first use: force it on one domain before
+    sharing it between domains. *)

@@ -146,40 +146,18 @@ let ordered_chains st =
          else compare c1.anchor c2.anchor)
   |> List.map (fun c -> c.blocks)
 
-(* The hierarchical merge depends only on the profile, not on the CFA
-   budget, and the simulation grid asks for one plan per (cache, CFA)
-   point — memoize the chains for the profile last seen. Layout
-   construction runs in the grid's serial prefix, so a single slot
-   without locking is enough. *)
-let memo : (Profile.t * int list list) option ref = ref None
-
 let chains profile =
-  match !memo with
-  | Some (p, chains) when p == profile -> chains
-  | _ ->
-    let st = init_state profile in
-    let edges = sorted_edges profile in
-    stitch_lines st edges;
-    stitch_level st edges ~granule:page_bytes;
-    let result = ordered_chains st in
-    memo := Some (profile, result);
-    result
+  let st = init_state profile in
+  let edges = sorted_edges profile in
+  stitch_lines st edges;
+  stitch_level st edges ~granule:page_bytes;
+  ordered_chains st
 
-let plan profile ~cfa_bytes =
-  let prog = Profile.program profile in
-  let counts = Profile.counts profile in
-  let chains = chains profile in
-  let cfa_seqs, other_seqs = Mapping.fit_cfa prog ~cfa_bytes chains in
-  let cold = ref [] in
-  Array.iter
-    (fun p ->
-      Array.iter
-        (fun bid -> if counts.(bid) = 0 then cold := bid :: !cold)
-        p.Stc_cfg.Proc.blocks)
-    prog.Program.procs;
-  { Mapping.cfa_seqs; other_seqs; cold = List.rev !cold }
-
-let layout profile ~cache_bytes ~cfa_bytes =
-  Mapping.map_plan (Profile.program profile) ~name:"codestitcher"
-    ~cache_bytes ~cfa_bytes
-    (plan profile ~cfa_bytes)
+(* The hierarchical merge depends only on the profile, not on the CFA
+   budget: partially applied to a profile, [plan] stitches the chains at
+   most once for all the budgets it is then asked for. *)
+let plan profile =
+  let chains = lazy (chains profile) in
+  fun ~cfa_bytes ->
+    Mapping.chain_plan (Profile.program profile)
+      ~counts:(Profile.counts profile) ~cfa_bytes (Lazy.force chains)

@@ -19,13 +19,13 @@ val page_bytes : int
 (** Second-level granule: 4096. *)
 
 val chains : Stc_profile.Profile.t -> int list list
-(** The finished chains, hottest first (exposed for tests). Memoized for
-    the profile last seen; call only from serial code. *)
+(** The finished chains, hottest first (exposed for tests). Each call
+    builds them afresh; nothing is shared between calls. *)
 
 val plan : Stc_profile.Profile.t -> cfa_bytes:int -> Mapping.plan
-(** Hot chains split into CFA residents and the rest ({!Mapping.fit_cfa});
-    never-executed blocks in original textual order as the cold part. *)
-
-val layout :
-  Stc_profile.Profile.t -> cache_bytes:int -> cfa_bytes:int -> Layout.t
-(** {!plan} → {!Mapping.map_plan}. *)
+(** Hot chains split into CFA residents and the rest
+    ({!Mapping.chain_plan}); never-executed blocks in original textual
+    order as the cold part. [plan profile] is a staged planner: it
+    stitches the chains on its first use and shares them with every
+    later CFA budget it is applied to. Force it on one domain before
+    sharing it between domains. *)

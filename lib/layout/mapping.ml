@@ -22,6 +22,17 @@ type plan = {
   cold : int list;
 }
 
+let chain_plan prog ~counts ~cfa_bytes chains =
+  let cfa_seqs, other_seqs = fit_cfa prog ~cfa_bytes chains in
+  let cold = ref [] in
+  Array.iter
+    (fun p ->
+      Array.iter
+        (fun bid -> if counts.(bid) = 0 then cold := bid :: !cold)
+        p.Stc_cfg.Proc.blocks)
+    prog.Program.procs;
+  { cfa_seqs; other_seqs; cold = List.rev !cold }
+
 let map prog ~name ~cache_bytes ~cfa_bytes ~cfa_seqs ~other_seqs ~cold =
   if cfa_bytes < 0 || cfa_bytes > cache_bytes then
     invalid_arg "Mapping.map: cfa_bytes out of range";

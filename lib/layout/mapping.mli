@@ -54,3 +54,13 @@ val fit_cfa :
     longest prefix of whole sequences fitting in [cfa_bytes] and the
     rest. A sequence that does not fit is skipped (later, shorter ones may
     still fit), preserving order. *)
+
+val chain_plan :
+  Stc_cfg.Program.t ->
+  counts:int array ->
+  cfa_bytes:int ->
+  int list list ->
+  plan
+(** The plan of a chain-building algorithm: the ordered hot chains split
+    by {!fit_cfa}, and the never-executed blocks ([counts] 0) in original
+    textual order as the cold part. *)

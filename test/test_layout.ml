@@ -229,6 +229,216 @@ let prop_layout_permutation =
       let layout = L.Layout.of_block_order prog ~name:"rand" order in
       match L.Layout.validate layout prog with Ok () -> true | Error _ -> false)
 
+(* ---------- ExtTSP: incremental merge vs the round-scan reference ----- *)
+
+(* The round-scan builder ExtTSP used before its merge became
+   incremental, kept as the oracle: every round groups the surviving
+   cross edges by chain pair, scores both orientations of every pair and
+   takes the best positive gain — ties to the pair met first in the
+   sorted edges, then to the smaller root first. *)
+module Exttsp_reference = struct
+  module Profile = P.Profile
+  module Block = Stc_cfg.Block
+
+  type chain = {
+    mutable blocks : int list;
+    mutable bytes : int;
+    mutable weight : int;
+    mutable anchor : int;
+  }
+
+  type state = {
+    prog : Program.t;
+    chain_of : int array;
+    chains : (int, chain) Hashtbl.t;
+    offset : int array;
+  }
+
+  let block_bytes st b = Block.byte_size st.prog.Program.blocks.(b)
+
+  let refresh_offsets st root =
+    let c = Hashtbl.find st.chains root in
+    let cursor = ref 0 in
+    List.iter
+      (fun b ->
+        st.offset.(b) <- !cursor;
+        cursor := !cursor + block_bytes st b)
+      c.blocks
+
+  let orientation_gain st ra edges =
+    let a = Hashtbl.find st.chains ra in
+    List.fold_left
+      (fun acc (src, dst, w) ->
+        let src_pos =
+          if st.chain_of.(src) = ra then st.offset.(src)
+          else a.bytes + st.offset.(src)
+        in
+        let dst_pos =
+          if st.chain_of.(dst) = ra then st.offset.(dst)
+          else a.bytes + st.offset.(dst)
+        in
+        acc
+        +. L.Exttsp.edge_score ~src_end:(src_pos + block_bytes st src)
+             ~dst:dst_pos w)
+      0.0 edges
+
+  let merge st ~into:ra rb =
+    let a = Hashtbl.find st.chains ra and b = Hashtbl.find st.chains rb in
+    a.blocks <- a.blocks @ b.blocks;
+    a.bytes <- a.bytes + b.bytes;
+    a.weight <- a.weight + b.weight;
+    a.anchor <- min a.anchor b.anchor;
+    List.iter (fun blk -> st.chain_of.(blk) <- ra) b.blocks;
+    Hashtbl.remove st.chains rb;
+    refresh_offsets st ra
+
+  let init_state profile =
+    let prog = Profile.program profile in
+    let n = Array.length prog.Program.blocks in
+    let st =
+      {
+        prog;
+        chain_of = Array.make n (-1);
+        chains = Hashtbl.create 256;
+        offset = Array.make n 0;
+      }
+    in
+    Array.iteri
+      (fun b c ->
+        if c > 0 then begin
+          st.chain_of.(b) <- b;
+          Hashtbl.replace st.chains b
+            {
+              blocks = [ b ];
+              bytes = Block.byte_size prog.Program.blocks.(b);
+              weight = c;
+              anchor = b;
+            }
+        end)
+      (Profile.counts profile);
+    st
+
+  let sorted_edges profile =
+    let counts = Profile.counts profile in
+    let edges = ref [] in
+    Profile.iter_edges profile (fun ~src ~dst ~count ->
+        if count > 0 && src <> dst && counts.(src) > 0 && counts.(dst) > 0
+        then edges := (src, dst, count) :: !edges);
+    List.sort compare !edges
+
+  let merge_round st edges =
+    let by_pair = Hashtbl.create 256 in
+    let pair_order = ref [] in
+    List.iter
+      (fun (src, dst, w) ->
+        let ra = st.chain_of.(src) and rb = st.chain_of.(dst) in
+        if ra >= 0 && rb >= 0 && ra <> rb then begin
+          let key = (min ra rb, max ra rb) in
+          match Hashtbl.find_opt by_pair key with
+          | Some l -> l := (src, dst, w) :: !l
+          | None ->
+            Hashtbl.replace by_pair key (ref [ (src, dst, w) ]);
+            pair_order := key :: !pair_order
+        end)
+      edges;
+    let best = ref None in
+    let consider gain ra rb =
+      match !best with
+      | Some (g, _, _) when g >= gain -> ()
+      | _ -> if gain > 0.0 then best := Some (gain, ra, rb)
+    in
+    List.iter
+      (fun (ra, rb) ->
+        let cross = List.rev !(Hashtbl.find by_pair (ra, rb)) in
+        consider (orientation_gain st ra cross) ra rb;
+        consider (orientation_gain st rb cross) rb ra)
+      (List.rev !pair_order);
+    match !best with
+    | None -> false
+    | Some (_, ra, rb) ->
+      merge st ~into:ra rb;
+      true
+
+  let ordered_chains st =
+    Hashtbl.fold (fun _ c acc -> c :: acc) st.chains []
+    |> List.sort (fun c1 c2 ->
+           if c1.weight <> c2.weight then compare c2.weight c1.weight
+           else compare c1.anchor c2.anchor)
+    |> List.map (fun c -> c.blocks)
+
+  let chains profile =
+    let st = init_state profile in
+    let edges = sorted_edges profile in
+    while merge_round st edges do
+      ()
+    done;
+    ordered_chains st
+end
+
+(* A one-procedure program of [sizes.(i)]-instruction blocks in a fall
+   chain, profiled with the given block counts and edges. The edges
+   need not follow the terminators: ExtTSP reads only the profile. *)
+let chain_profile sizes ~counts ~edges =
+  let b = Builder.create () in
+  let p = Builder.declare_proc b ~name:"p" ~subsystem:Stc_cfg.Proc.Other in
+  let blocks = Array.map (fun size -> Builder.new_block b ~pid:p ~size) sizes in
+  let n = Array.length blocks in
+  Array.iteri
+    (fun i bid ->
+      Builder.set_term b bid
+        (if i < n - 1 then Terminator.Fall blocks.(i + 1) else Terminator.Ret))
+    blocks;
+  Builder.finish_proc b ~pid:p ~entry:blocks.(0) ~blocks;
+  let profile = P.Profile.create (Builder.build b) in
+  Array.iteri
+    (fun i count ->
+      if count > 0 then P.Profile.inject_block profile blocks.(i) ~count)
+    counts;
+  List.iter
+    (fun (src, dst, count) ->
+      P.Profile.inject_edge profile ~src:blocks.(src) ~dst:blocks.(dst) ~count)
+    edges;
+  profile
+
+(* Random profiles biased toward equal gains: block sizes, counts and
+   edge weights from a few values, so ties between pairs and between
+   orientations are common and the tie-break decides the merge. *)
+let random_chain_profile seed =
+  let st = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int st 40 in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let sizes = Array.init n (fun _ -> pick [ 2; 2; 4; 8 ]) in
+  let counts =
+    Array.init n (fun _ ->
+        if Random.State.int st 6 = 0 then 0 else pick [ 5; 5; 9 ])
+  in
+  let edges =
+    List.init (Random.State.int st (3 * n)) (fun _ ->
+        (Random.State.int st n, Random.State.int st n, pick [ 1; 1; 2; 3 ]))
+  in
+  chain_profile sizes ~counts ~edges
+
+let prop_exttsp_matches_reference =
+  QCheck.Test.make ~name:"incremental exttsp chains equal the round scan"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let profile = random_chain_profile seed in
+      L.Exttsp.chains profile = Exttsp_reference.chains profile)
+
+let test_exttsp_fixed_profiles () =
+  let check what profile =
+    Alcotest.(check (list (list int)))
+      what (Exttsp_reference.chains profile) (L.Exttsp.chains profile)
+  in
+  check "empty profile"
+    (chain_profile [| 4; 4; 4 |] ~counts:[| 0; 0; 0 |] ~edges:[]);
+  check "no edges"
+    (chain_profile [| 4; 2; 4 |] ~counts:[| 3; 3; 1 |] ~edges:[]);
+  check "one hot block"
+    (chain_profile [| 4; 4 |] ~counts:[| 7; 0 |]
+       ~edges:[ (0, 1, 5); (1, 0, 5) ]);
+  check "fixture profile" (profile ())
+
 let suite =
   [
     Alcotest.test_case "figure 3 worked example" `Quick test_figure3;
@@ -244,5 +454,8 @@ let suite =
     Alcotest.test_case "seqbuild exec threshold" `Quick
       test_seqbuild_respects_exec_threshold;
     Alcotest.test_case "mapping CFA windows" `Quick test_mapping_skips_cfa_windows;
+    Alcotest.test_case "exttsp fixed profiles match the round scan" `Quick
+      test_exttsp_fixed_profiles;
   ]
-  @ [ QCheck_alcotest.to_alcotest prop_layout_permutation ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_layout_permutation; prop_exttsp_matches_reference ]

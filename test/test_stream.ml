@@ -232,16 +232,40 @@ let test_chunked_damage_and_repair () =
   | None -> Alcotest.fail "entry not healed by re-save"
   | Some r2 -> Alcotest.(check bool) "healed" true (ids_of r2 = ids_of rec_)
 
+(* [len] ids made of runs of consecutive blocks of the original layout,
+   1 to 80 long, so most transitions fall through and most segment cuts
+   land inside a run. *)
+let run_trace st ids len =
+  let n = Array.length ids in
+  let out = Array.make len ids.(0) in
+  let pos = ref 0 in
+  while !pos < len do
+    let start = Random.State.int st n in
+    let run = min (1 + Random.State.int st 80) (min (n - start) (len - !pos)) in
+    Array.blit ids start out !pos run;
+    pos := !pos + run
+  done;
+  out
+
 (* A warm replay compiled from the chunked entry — Source straight off
    the store, 256-block segments — must produce the same engine rows as
-   replaying the trace it was saved from. *)
+   replaying the trace it was saved from. The trace is mostly
+   fall-through runs, so a segment's last block takes its taken bit from
+   the next segment: a boundary read as end of trace (always taken)
+   changes the rows. *)
 let test_chunked_warm_replay_identical () =
   with_dir @@ fun dir ->
   let st = Store.open_ dir in
-  let prog, ids = random_program 3 30 in
+  let prog, ids = random_program 3 200 in
   let layout = L.Original.layout prog in
   let rst = Random.State.make [| 5 |] in
-  let trace = random_trace rst ids 5_000 in
+  let trace = run_trace rst ids 5_000 in
+  let cuts_in_runs = ref 0 in
+  for k = 1 to (5_000 - 1) / 256 do
+    if trace.(k * 256) = trace.((k * 256) - 1) + 1 then incr cuts_in_runs
+  done;
+  Alcotest.(check bool) "segment cuts inside fall-through runs" true
+    (!cuts_in_runs >= 10);
   let rec_ = Recorder.of_ids trace ~marks:[] in
   let key = Store.Key.of_parts [ "chunked"; "warm-replay" ] in
   Store.Chunked.save ~segment_blocks:256 st ~key rec_;
